@@ -89,7 +89,6 @@ class ExperimentConfig:
     R0: float = 0.5
     out: str = "stokesgreen-out"
     seed: int = 0
-    workers: int = 1
     memory_budget_mb: int = 8192
     fixture_dir: str | None = None
     preset: str | None = None
@@ -142,8 +141,6 @@ class ExperimentConfig:
             raise ConfigError("'R0' must lie in (0, 1]")
         if not isinstance(self.seed, int):
             raise ConfigError("'seed' must be an integer")
-        if not (isinstance(self.workers, int) and self.workers >= 1):
-            raise ConfigError("'workers' must be a positive integer")
         sol = dict(self.solver)
         tol = sol.get("tol", 1e-9)
         if not (isinstance(tol, (int, float)) and tol > 0):
@@ -245,7 +242,6 @@ class Pipeline:
             self._greens[key] = compute_green(
                 self.domain, self.coeffs, pole, eps,
                 tol=self.config.solver.get("tol", 1e-9), operator=self.operator,
-                workers=self.config.workers,
             )
         return self._greens[key]
 
@@ -601,8 +597,6 @@ def _load_config(args):
         cfg.preset = args.preset
     if args.out:
         cfg.out = args.out
-    if args.workers:
-        cfg.workers = args.workers
     return cfg
 
 
@@ -620,7 +614,6 @@ def main(argv=None):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="path to a JSON experiment config")
         p.add_argument("--out", help="output directory override")
-        p.add_argument("--workers", type=int, help="worker cap override")
         p.add_argument("--preset", choices=sorted(PRESET_SIZES),
                        help="built-in preset (smoke/standard/deep)")
     args = parser.parse_args(argv)

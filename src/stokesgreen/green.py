@@ -195,41 +195,27 @@ class GreenApprox:
         )
 
 
-def compute_green(domain, coeffs, y, eps, tol=1e-9, operator=None, c_s=0.1,
-                  workers=1):
+def compute_green(domain, coeffs, y, eps, tol=1e-9, operator=None, c_s=0.1):
     """Approximated Green function (G_eps(., y), Pi_eps(., y)).
 
     Solves one conormal problem per unit direction with data
-    ``f = Phi_{eps,y} e_k`` and no divergence source.  The three columns
-    are independent solves against immutable shared state and may run on
-    up to ``workers`` threads.  Errors raised by a column solve are
-    re-raised tagged with the column index.
+    ``f = Phi_{eps,y} e_k`` and no divergence source.  Errors raised by a
+    column solve are re-raised tagged with the column index.
     """
     src = mollified_rhs(domain, y, eps)
     op = operator if operator is not None else ConormalOperator(domain, coeffs, c_s)
-    op.preconditioner()  # build shared state before any thread fan-out
     nc = domain.ncells
     G = np.zeros((DIM, DIM, nc))
     Pi = np.zeros((DIM, nc))
     reports = [None] * DIM
-
-    def solve_column(k):
+    for k in range(DIM):
         f = np.zeros((DIM, nc))
         f[k] = src.phi
         system = assemble(domain, op.coeffs, f=f, operator=op)
         try:
-            return solve_conormal(system, tol=tol)
+            field, report = solve_conormal(system, tol=tol)
         except Exception as exc:
             raise type(exc)(f"column {k + 1}: {exc}") from exc
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(workers, DIM)) as pool:
-            solved = list(pool.map(solve_column, range(DIM)))
-    else:
-        solved = [solve_column(k) for k in range(DIM)]
-    for k, (field, report) in enumerate(solved):
         G[:, k, :] = field.u
         Pi[k] = field.p
         reports[k] = report

@@ -217,38 +217,45 @@ class ConormalOperator:
         return self.domain.h * (2.0 - 2.0 * np.cos(np.pi / nmax))
 
     def _build_prec(self):
+        """Block-diagonal preconditioner on one DCT inverse of the shifted
+        Neumann Laplacian of the bounding box.
+
+        Masked domains zero-extend to the box, invert there and restrict
+        (a fictitious-domain preconditioner); ``R L_box^-1 R^T`` stays
+        symmetric positive definite, which MINRES needs.
+        """
         dom = self.domain
         h = dom.h
+        shape = dom.shape
         shift = self._scalar_shift()
-        if dom.mask.all():
-            shape = dom.shape
-            eigs = sum(
-                np.meshgrid(
-                    *[
-                        h * (2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n))
-                        for n in shape
-                    ],
-                    indexing="ij",
-                )
+        eigs = sum(
+            np.meshgrid(
+                *[
+                    h * (2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n))
+                    for n in shape
+                ],
+                indexing="ij",
             )
-            eigs.flat[0] = shift
+        )
+        eigs.flat[0] = shift
+
+        def box_inverse(arr):
+            coef = sfft.dctn(arr, type=2, norm="ortho")
+            coef /= eigs
+            return sfft.idctn(coef, type=2, norm="ortho")
+
+        if dom.mask.all():
 
             def apply_scalar(v):
-                arr = v.reshape(shape)
-                coef = sfft.dctn(arr, type=2, norm="ortho")
-                coef /= eigs
-                return sfft.idctn(coef, type=2, norm="ortho").ravel()
+                return box_inverse(v.reshape(shape)).ravel()
 
         else:
-            import threading
-
-            mat = (self.ops.lap_scalar + shift * sp.identity(self.nc)).tocsc()
-            lu = spla.splu(mat)
-            lock = threading.Lock()  # SuperLU solves are not reentrant
+            mask = dom.mask
 
             def apply_scalar(v):
-                with lock:
-                    return lu.solve(v)
+                box = np.zeros(shape)
+                box[mask] = v
+                return box_inverse(box)[mask]
 
         h3 = h**3
         mult_scale = h3 * dom.volume / shift

@@ -54,7 +54,6 @@ MALFORMED = [
     {"domain": {"kind": "box", "extent": [1, 1, 1], "h": 0.125}, "eps_sweep": [-1]},
     {"domain": {"kind": "box", "extent": [1, 1, 1], "h": 0.125}, "R0": 2.0},
     {"domain": {"kind": "box", "extent": [1, 1, 1], "h": 0.125}, "seed": "zero"},
-    {"domain": {"kind": "box", "extent": [1, 1, 1], "h": 0.125}, "workers": 0},
     {"domain": {"kind": "box", "extent": [1, 1, 1], "h": 0.125}, "solver": {"tol": -1}},
     {"domain": {"kind": "box", "extent": [1, 1, 1], "h": 0.125}, "bogus_field": 1},
     {"domain": {"kind": "box", "extent": [1, 1, 1], "h": 0.125}, "preset": "huge"},

@@ -266,19 +266,14 @@ def test_green_export_import_roundtrip(tmp_path, box8):
     assert np.array_equal(back.y, green.y)
 
 
-def test_green_parallel_columns_match_serial(box16):
-    domain, coeffs, op = box16
-    y = (0.53, 0.47, 0.51)
-    serial = compute_green(domain, coeffs, y, 0.25, operator=op, workers=1)
-    threaded = compute_green(domain, coeffs, y, 0.25, operator=op, workers=3)
-    assert np.abs(serial.G - threaded.G).max() <= 1e-10 * np.abs(serial.G).max()
-
-
-@pytest.mark.parametrize("kind", ["ball", "lshape"])
+@pytest.mark.parametrize("kind", ["ball", "lshape", "lshape-nonsym"])
 def test_green_on_masked_domains(kind):
-    # exercises the sparse-LU preconditioner branch and staircase faces
+    # exercises the box-embedded DCT preconditioner and staircase faces;
+    # the nonsymmetric full tensor takes the LGMRES path
+    from conftest import random_elliptic_tensor
+    from stokesgreen.coefficients import constant_field, constant_identity
     from stokesgreen.domain import build_l_shape, build_voxel_ball
-    from stokesgreen.coefficients import constant_identity
+    from stokesgreen.system import assemble, solve_conormal
 
     if kind == "ball":
         domain = build_voxel_ball(0.4, 1.0 / 12)
@@ -287,11 +282,22 @@ def test_green_on_masked_domains(kind):
         domain = build_l_shape((1.0, 1.0, 1.0), ((0.5, 0.5, 0.5), (1.0, 1.0, 1.0)),
                                1.0 / 12)
         pole = np.array([0.3, 0.3, 0.3])
-    coeffs = constant_identity(domain)
+    if kind == "lshape-nonsym":
+        tensor = random_elliptic_tensor(np.random.default_rng(0))
+        assert np.all(tensor != 0)
+        coeffs = constant_field(domain, tensor, 0.25)
+    else:
+        coeffs = constant_identity(domain)
     green = compute_green(domain, coeffs, pole, 3.0 / 12)
     inv = check_green_invariants(domain, green)
     assert inv["ok"]
     assert all(r.residual <= 1e-9 for r in green.reports)
+    assert all(r.method == ("minres" if coeffs.is_self_adjoint() else "lgmres")
+               for r in green.reports)
+    f = np.zeros((3, domain.ncells))
+    f[0] = mollified_rhs(domain, pole, 3.0 / 12).phi
+    direct, _ = solve_conormal(assemble(domain, coeffs, f=f), method="direct")
+    assert np.abs(green.G[:, 0, :] - direct.u).max() <= 1e-8 * np.abs(direct.u).max()
 
 
 def test_symmetric_layered_green_equals_adjoint():

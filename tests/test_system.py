@@ -6,8 +6,9 @@ from stokesgreen.coefficients import (
     adjoint_field,
     constant_identity,
 )
-from stokesgreen.domain import build_box
+from stokesgreen.domain import build_box, build_l_shape, build_voxel_ball
 from stokesgreen.errors import CompatibilityError, GeometryError, SolverError
+from stokesgreen.green import mollified_rhs
 from stokesgreen.system import (
     ConormalOperator,
     assemble,
@@ -247,6 +248,34 @@ def test_direct_method_available(box8):
     system = assemble(domain, coeffs, f=f, operator=op)
     field, report = solve_conormal(system, method="direct")
     assert report.residual <= 1e-9
+
+
+def _l_shape(n):
+    return build_l_shape((1.0, 1.0, 1.0), ((0.5, 0.5, 0.5), (1.0, 1.0, 1.0)), 1.0 / n)
+
+
+def test_masked_preconditioner_spd_and_h_independent():
+    # MINRES needs an SPD preconditioner: the box DCT inverse restricted
+    # to the included cells must stay symmetric and positive
+    rng = np.random.default_rng(31)
+    for domain in (_l_shape(12), build_voxel_ball(0.5, 1.0 / 12)):
+        assert not domain.mask.all()
+        op = ConormalOperator(domain, constant_identity(domain))
+        P = op.preconditioner()
+        for _ in range(4):
+            x, y = rng.standard_normal((2, op.ntot))
+            Px, Py = P @ x, P @ y
+            assert abs(x @ Py - y @ Px) <= 1e-12 * abs(x @ Py)
+            assert x @ Px > 0 and y @ Py > 0
+    steps = []
+    for n in (16, 24):
+        domain = _l_shape(n)
+        f = np.zeros((3, domain.ncells))
+        f[0] = mollified_rhs(domain, (0.3, 0.3, 0.3), 2.0 / n).phi
+        _, report = solve_conormal(assemble(domain, constant_identity(domain), f=f))
+        assert report.method == "minres"
+        steps.append(report.iterations)
+    assert abs(steps[1] - steps[0]) <= 0.1 * min(steps)
 
 
 # -- divergence equation -------------------------------------------------------
