@@ -229,6 +229,8 @@ class Pipeline:
             self.eps_sweep = [float(e) for e in cfg.eps_sweep]
 
     def _adjoint(self):
+        if self.coeffs.is_self_adjoint():  # the adjoint matrix is K itself
+            return self.operator
         if self.adjoint_operator is None:
             self.adjoint_operator = ConormalOperator(
                 self.domain, adjoint_field(self.coeffs),

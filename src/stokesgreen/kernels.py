@@ -31,10 +31,13 @@ def normalized_stokeslet(domain, y):
 
     The Green function carries the normalization ``int_Omega G dx = 0``, so
     the comparable closed-form reference at cell centers is
-    ``U(x - y) - (U(. - y))_Omega``.  Returns shape (ncells, 3, 3).
+    ``U(x - y) - (U(. - y))_Omega``.  A cell centred on the pole is set to
+    zero and the other cells are shifted by their own mean, so the cells
+    sum to zero.  Returns shape (ncells, 3, 3).
     """
     rel = domain.cell_centers - np.asarray(y, dtype=float)
     U = oseen_tensor(rel)
     finite = np.isfinite(U).all(axis=(1, 2))
-    mean = U[finite].sum(axis=0) / domain.ncells
-    return U - mean
+    U[~finite] = 0.0
+    U[finite] -= U[finite].mean(axis=0)
+    return U

@@ -206,7 +206,6 @@ class ConormalOperator:
         self.nc = nc
         self.nu = DIM * nc
         self.ntot = self.K.shape[0]
-        self.symmetric = coeffs.is_self_adjoint()
         self._prec = None
         self._lu = None
 
@@ -217,12 +216,15 @@ class ConormalOperator:
         return self.domain.h * (2.0 - 2.0 * np.cos(np.pi / nmax))
 
     def _build_prec(self):
-        """Block-diagonal preconditioner on one DCT inverse of the shifted
-        Neumann Laplacian of the bounding box.
+        """Block upper-triangular preconditioner on one DCT inverse of the
+        shifted Neumann Laplacian of the bounding box.
 
+        The pressure and multiplier blocks are the scaled identities
+        ``-h^3`` and ``-h^3 |Omega| / shift``; the velocity block inverts
+        the box Laplacian per component after the coupling ``B p + E^T lam``
+        is moved to the right-hand side (Elman-Silvester-Wathen, ch. 4).
         Masked domains zero-extend to the box, invert there and restrict
-        (a fictitious-domain preconditioner); ``R L_box^-1 R^T`` stays
-        symmetric positive definite, which MINRES needs.
+        (a fictitious-domain preconditioner).
         """
         dom = self.domain
         h = dom.h
@@ -259,14 +261,16 @@ class ConormalOperator:
 
         h3 = h**3
         mult_scale = h3 * dom.volume / shift
+        nc, nu = self.nc, self.nu
+        B, Et = self.B, self.E.T.tocsr()
 
         def prec(x):
             out = np.empty_like(x)
-            nc = self.nc
+            p = out[nu : nu + nc] = -x[nu : nu + nc] / h3
+            lam = out[nu + nc :] = -x[nu + nc :] / mult_scale
+            rest = x[:nu] - B @ p - Et @ lam
             for i in range(DIM):
-                out[i * nc : (i + 1) * nc] = apply_scalar(x[i * nc : (i + 1) * nc])
-            out[self.nu : self.nu + nc] = x[self.nu : self.nu + nc] / h3
-            out[self.nu + nc :] = x[self.nu + nc :] / mult_scale
+                out[i * nc : (i + 1) * nc] = apply_scalar(rest[i * nc : (i + 1) * nc])
             return out
 
         return prec
@@ -288,14 +292,17 @@ class ConormalOperator:
     def solve(self, rhs, tol=DEFAULT_TOL, max_iter=None, x0=None, method="auto"):
         """Solve K x = rhs to a true relative residual below tol.
 
-        Returns (x, iterations, residual).  Raises SolverError on
-        non-convergence, carrying the best residual reached.
+        ``method`` is "auto" (preconditioned LGMRES, for every operator) or
+        "direct" (sparse LU).  Iterations are preconditioner applications;
+        ``max_iter`` bounds them.  Returns (x, iterations, residual).
+        Raises SolverError on non-convergence, carrying the residual
+        reached.
         """
+        if method not in ("auto", "direct"):
+            raise ValueError(f"unknown solve method {method!r}")
         bnorm = np.linalg.norm(rhs)
         if bnorm == 0:
             return np.zeros(self.ntot), 0, 0.0
-        if method == "auto":
-            method = "minres" if self.symmetric else "lgmres"
         if method == "direct":
             x = self.solve_direct(rhs)
             res = np.linalg.norm(self.K @ x - rhs) / bnorm
@@ -306,41 +313,26 @@ class ConormalOperator:
         M = self.preconditioner()
         count = [0]
 
-        def cb(_):
+        def counted(v):
             count[0] += 1
+            return M @ v
 
-        x = np.zeros(self.ntot) if x0 is None else np.asarray(x0, dtype=float).copy()
-        best = np.linalg.norm(self.K @ x - rhs) / bnorm
-        inner = max(tol * 1e-2, 1e-15)
-        rounds = 0
-        while best > tol and count[0] < max_iter and rounds < 8:
-            rounds += 1
-            left = max_iter - count[0]
-            if method == "minres":
-                x_new, _ = spla.minres(
-                    self.K, rhs, x0=x, rtol=inner,
-                    maxiter=left, M=M, callback=cb,
-                )
-            else:
-                x_new, _ = spla.lgmres(
-                    self.K, rhs, x0=x, rtol=inner, atol=0.0,
-                    maxiter=left, M=M, inner_m=40,
-                    callback=cb,
-                )
-            res = np.linalg.norm(self.K @ x_new - rhs) / bnorm
-            inner = max(inner * 1e-2, 1e-15)
-            if res < best:
-                best, x = res, x_new
-            elif rounds > 2:
-                break
-        if best > tol:
+        # one outer cycle applies M at most inner_m + 1 times
+        inner_m = min(40, max(max_iter - 1, 1))
+        x, _ = spla.lgmres(
+            self.K, rhs, x0=x0, rtol=tol, atol=0.0, inner_m=inner_m,
+            maxiter=max(max_iter // (inner_m + 1), 1),
+            M=spla.LinearOperator(M.shape, matvec=counted, dtype=float),
+        )
+        res = float(np.linalg.norm(self.K @ x - rhs) / bnorm)
+        if res > tol:
             raise SolverError(
-                f"{method} stalled at relative residual {best:.3e} "
-                f"(target {tol:.1e}) after {count[0]} iterations",
-                best_residual=float(best),
+                f"lgmres stalled at relative residual {res:.3e} "
+                f"(target {tol:.1e}) after {count[0]} preconditioner applications",
+                best_residual=res,
                 iterations=count[0],
             )
-        return x, count[0], float(best)
+        return x, count[0], res
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +498,7 @@ def solve_conormal(system, tol=DEFAULT_TOL, max_iter=None, x0=None, method="auto
         stab_slack=slack,
         mean_abs=float(np.abs(u.mean(axis=1)).max()),
         mean_projection=max(system.mean_projection, mean_before),
-        method=method if method != "auto" else ("minres" if op.symmetric else "lgmres"),
+        method="lgmres" if method == "auto" else method,
     )
     return Field(u=u, p=p), report
 
@@ -534,7 +526,7 @@ def solve_divergence(domain, g, tol=DEFAULT_TOL, div_tol=1e-8, max_sweeps=16, c_
     gnorm = lp_norm(domain, gv, 2)
     if gnorm == 0:
         nc = domain.ncells
-        rep = SolveReport(0, 0.0, 0.0, 0.0, {"g_L2": 0.0}, None, 0.0, 0.0, 0.0, 0.0, "minres")
+        rep = SolveReport(0, 0.0, 0.0, 0.0, {"g_L2": 0.0}, None, 0.0, 0.0, 0.0, 0.0, "lgmres")
         return DivergenceSolution(np.zeros((DIM, nc)), 0.0, 0.0, 0, rep)
     if abs(gv.mean()) * domain.volume > COMPAT_REL * gnorm:
         raise CompatibilityError(
@@ -550,7 +542,7 @@ def solve_divergence(domain, g, tol=DEFAULT_TOL, div_tol=1e-8, max_sweeps=16, c_
     prev = np.inf
     for sweep in range(max_sweeps):
         system = assemble(domain, op.coeffs, g=g_in, operator=op)
-        field, report = solve_conormal(system, tol=tol, x0=x0, method="minres")
+        field, report = solve_conormal(system, tol=tol, x0=x0)
         resid = lp_norm(domain, ops.divergence(field.u) - gv, 2)
         if best is None or resid < best[0]:
             best = (resid, field, report, sweep + 1)

@@ -7,6 +7,7 @@ import pytest
 from stokesgreen.cli import (
     ExperimentConfig,
     PRESET_CONFIGS,
+    Pipeline,
     main,
     run_experiment,
     verify,
@@ -160,6 +161,12 @@ def test_builtin_presets_validate():
     for name, raw in PRESET_CONFIGS.items():
         cfg = ExperimentConfig.from_dict(dict(raw))
         assert cfg.domain["kind"] == "box"
+
+
+def test_self_adjoint_pipeline_reuses_operator_for_adjoint(tmp_path):
+    pipe = Pipeline(make_config(tmp_path))
+    pipe.build()
+    assert pipe._adjoint() is pipe.operator
 
 
 def test_every_estimate_runner_end_to_end(tmp_path):

@@ -290,6 +290,15 @@ def test_annulus_outside_domain_raises(box32, stokeslet_pair):
         est.annulus_cells(box32, green, [0.2, 1.0], 1, 2)
 
 
+def test_normalized_stokeslet_finite_and_mean_zero():
+    domain = build_box((1.0, 1.0, 1.0), 1.0 / 16)
+    y = domain.cell_centers[domain.nearest_cell((0.5, 0.5, 0.5))]
+    U = normalized_stokeslet(domain, y)
+    assert np.isfinite(U).all()
+    assert np.all(U[domain.nearest_cell(y)] == 0.0)
+    assert np.all(np.abs(U.sum(axis=0)) <= 1e-12 * np.abs(U).sum(axis=0))
+
+
 # -- Caccioppoli -------------------------------------------------------------------
 
 
