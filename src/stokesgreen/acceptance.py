@@ -21,10 +21,10 @@ from . import estimates as est
 from .coefficients import (
     CoefficientField,
     Frame,
-    adjoint_field,
     checkerboard,
     constant_identity,
     identity_tensor,
+    partial_oscillation,
     piecewise_in_direction,
     validate_ellipticity,
 )
@@ -89,14 +89,11 @@ class AcceptanceSuite:
         return self._domains[n]
 
     def operator(self, n, adjoint=False):
-        key = (n, adjoint)
-        if key not in self._operators:
+        if n not in self._operators:
             dom = self.domain(n)
-            coeffs = constant_identity(dom)
-            if adjoint:
-                coeffs = adjoint_field(coeffs)
-            self._operators[key] = ConormalOperator(dom, coeffs)
-        return self._operators[key]
+            self._operators[n] = ConormalOperator(dom, constant_identity(dom))
+        op = self._operators[n]
+        return op.adjoint() if adjoint else op
 
     def green(self, n, pole, eps):
         key = (n, tuple(np.round(pole, 9)), round(eps, 12))
@@ -214,13 +211,6 @@ class AcceptanceSuite:
             reports=[rep_int, rep_bnd], seconds=elapsed,
         )
 
-    def _profile_grid(self, dom, green):
-        # oracle-calibrated fit range (2 eps, dist/2]: kernel-dominated
-        h = dom.h
-        lo = 2 * green.eps + h / 2
-        hi = dist_to_boundary(dom, green.y) / 2
-        return [lo + k * (hi - lo) / 5.0 for k in range(6)]
-
     def c05_annulus_bounds(self):
         """Combined annulus norm exponent within 0.35 of (2-d)/2 = -1/2:
         ||G - (G)_A||_L6 + ||DG||_L2 + ||Pi - (Pi)_A||_L2 on the dyadic
@@ -230,7 +220,7 @@ class AcceptanceSuite:
         t0 = time.time()
         dom = self.domain(self.n)
         g = self.green(self.n, self.center_pole(self.n), 2.0 / self.n)
-        grid = self._profile_grid(dom, g)
+        grid = est.profile_grid(dom, g)
         report = est.annulus_oscillation_norms(dom, g, grid, self.policy,
                                                estimate_id="annulus-norms")
         return CriterionResult(
@@ -246,42 +236,17 @@ class AcceptanceSuite:
         t0 = time.time()
         dom = self.domain(self.n)
         g = self.green(self.n, self.center_pole(self.n), 2.0 / self.n)
-        dist = dist_to_boundary(dom, g.y)
-        R0 = 0.5
-        reports = []
-        ok = True
-        details = {}
-        for name, values in (("G", g.magnitude()),
-                             ("DG", g.grad_magnitude(dom)),
-                             ("Pi", g.pressure_magnitude())):
-            p = est.WEAK_TYPE_EXPONENTS[name]
-            floor = min(R0, dist) ** est.WEAK_TYPE_FLOOR_POWER[name]
-            srt = np.sort(values)[::-1]
-            # cap at the 27th largest cell value: smaller level sets are
-            # below the voxel resolution of the measure
-            tmax = min(floor * 100.0, srt[min(26, len(srt) - 1)] * 0.999)
-            if tmax <= floor * 1.01:
-                rep = est.EstimateReport(
-                    estimate_id=f"T1-weak-{name}",
-                    rule={"kind": "envelope",
-                          "max_ratio": self.policy.envelope_ratio_max},
-                    samples={"measured": 0.0},
-                    flags=["field max at or below the threshold floor; "
-                           "level sets empty, bound holds vacuously"],
-                    passed=True,
-                    policy=self.policy.as_dict(),
-                    context={"floor": floor, "field": name},
-                )
-            else:
-                tgrid = np.geomspace(floor * 1.01, tmax, 12)
-                rep = est.weak_type_profile(dom, values, p, tgrid, floor,
-                                            self.policy, f"T1-weak-{name}")
-            reports.append(rep)
-            details[name] = {"ratio": rep.envelope_ratio, "floor": floor,
-                             "flags": rep.flags}
-            ok = ok and rep.passed
+        base = min(0.5, dist_to_boundary(dom, g.y))  # R0 = 1/2
+        names = ("G", "DG", "Pi")
+        reports = [est.weak_type_envelope(dom, g, name, base, self.policy,
+                                          f"T1-weak-{name}")
+                   for name in names]
+        details = {name: {"ratio": rep.envelope_ratio, "floor": rep.context["floor"],
+                          "flags": rep.flags}
+                   for name, rep in zip(names, reports)}
         return CriterionResult(
-            "C06", "weak-type envelopes flat within factor 5", ok, details,
+            "C06", "weak-type envelopes flat within factor 5",
+            all(rep.passed for rep in reports), details,
             reports=reports, seconds=time.time() - t0,
         )
 
@@ -293,7 +258,7 @@ class AcceptanceSuite:
         t0 = time.time()
         dom = self.domain(self.n)
         g = self.green(self.n, self.center_pole(self.n), 2.0 / self.n)
-        grid = self._profile_grid(dom, g)
+        grid = est.profile_grid(dom, g)
         reports = est.annulus_local_l1(dom, g, grid, self.policy,
                                        id_prefix="annulus-L1")
         ok = all(r.passed for r in reports.values())
@@ -433,8 +398,6 @@ class AcceptanceSuite:
         layered = piecewise_in_direction(dom, profile, aligned, lam)
         ball = BallQuery((0.5, 0.5, 0.5), 0.25)
         bound = 2 * dom.h / ball.radius / lam
-        from .coefficients import partial_oscillation
-
         osc_aligned = partial_oscillation(layered, aligned, ball)
         osc_rotated = partial_oscillation(
             layered, Frame.axis_permutation([1, 0, 2]), ball

@@ -27,8 +27,13 @@ import numpy as np
 from . import __version__
 from . import estimates as est
 from .acceptance import MEMORY_REQUIREMENT_MB, AcceptanceSuite, PRESET_SIZES
-from .coefficients import adjoint_field, build_coefficients, validate_ellipticity
-from .domain import build_domain, dist_to_boundary
+from .coefficients import (
+    Frame,
+    build_coefficients,
+    partial_oscillation,
+    validate_ellipticity,
+)
+from .domain import BallQuery, build_domain, dist_to_boundary
 from .errors import ConfigError, SolverError, StokesGreenError
 from .green import (
     GreenApprox,
@@ -41,12 +46,161 @@ from .green import (
 )
 from .system import ConormalOperator, poincare_constant, solve_divergence
 
-VALID_ESTIMATES = (
-    [f"T1-{k}" for k in ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")]
-    + [f"T2-{k}" for k in ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")]
-    + ["decay", "symmetry", "representation", "caccioppoli", "oscillation",
-       "bogovskii", "poincare"]
-)
+# -- estimate runners ---------------------------------------------------------
+#
+# Each runner maps (pipeline, estimate id) to a list of reports.  Library
+# functions are looked up by module-global name at call time, so a caller
+# that replaces them (for tracing or timing) sees every call.
+
+
+def _variant(eid):
+    return "interior" if eid.startswith("T1") else "global"
+
+
+def _theorem_green(pipe, eid):
+    # T1 estimates measure at the interior pole, T2 at the boundary-near one
+    kind = "interior" if eid.startswith("T1") else "boundary"
+    return pipe.green(pipe.pole(kind), 2 * pipe.domain.h)
+
+
+# the field each weak-type (iii-v) and local L_q (vi-viii) item measures
+_THEOREM_FIELD = {"iii": "G", "iv": "DG", "v": "Pi", "vi": "G", "vii": "DG", "viii": "Pi"}
+
+
+def _annulus_norms(pipe, eid):
+    g = _theorem_green(pipe, eid)
+    variant, R0 = _variant(eid), pipe.config.R0
+    grid = est.profile_grid(pipe.domain, g, variant, R0)
+    part = "G_DG" if eid.endswith("-i") else "Pi"
+    return [est.annulus_norms(pipe.domain, g, grid, variant=variant, R0=R0,
+                              estimate_id=eid, fit_part=part)]
+
+
+def _weak_type(pipe, eid):
+    g = _theorem_green(pipe, eid)
+    R0 = pipe.config.R0
+    base = R0 if _variant(eid) == "global" else min(R0, dist_to_boundary(pipe.domain, g.y))
+    name = _THEOREM_FIELD[eid.split("-")[1]]
+    return [est.weak_type_envelope(pipe.domain, g, name, base, estimate_id=eid)]
+
+
+def _local_lq(pipe, eid):
+    g = _theorem_green(pipe, eid)
+    variant, R0 = _variant(eid), pipe.config.R0
+    grid = est.profile_grid(pipe.domain, g, variant, R0)
+    name = _THEOREM_FIELD[eid.split("-")[1]]
+    reps = est.local_lq_norms(pipe.domain, g, grid, [1.0], variant=variant, R0=R0,
+                              id_prefix=eid, fields=(name,))
+    return list(reps.values())
+
+
+def _decay(pipe, eid):
+    dom, R0 = pipe.domain, pipe.config.R0
+    h = dom.h
+    out = []
+    for kind in ("interior", "boundary"):
+        g = pipe.green(pipe.pole(kind), 2 * h)
+        hi = dist_to_boundary(dom, g.y) / 2 if kind == "interior" else R0 * 0.9
+        lo = 4 * h
+        if hi < lo + 2 * h:
+            hi = min(8 * h, R0)
+        radii = sorted({lo + k * (hi - lo) / 4.0 for k in range(5)})
+        out.append(est.decay_profile(dom, g, radii, estimate_id=f"decay-{kind}"))
+    return out
+
+
+def _symmetry(pipe, eid):
+    # opposite near-boundary poles keep the mollifier balls separated even
+    # on coarse grids
+    dom = pipe.domain
+    h, shape = dom.h, dom.shape
+    y = np.array([4.5 * h, (shape[1] // 2 + 0.5) * h, (shape[2] // 2 + 0.5) * h])
+    x = np.array([dom.extent[0] - 4.5 * h, y[1], y[2]])
+    eps = sigma = 2 * h
+    gd = pipe.green(y, eps)
+    ga = compute_adjoint_green(dom, pipe.coeffs, x, sigma, tol=pipe.tol,
+                               operator=pipe.operator.adjoint())
+    context = {"x": x.tolist(), "y": y.tolist(), "eps": eps}
+    return [est.bound_report(name, check(dom, gd, ga).discrepancy, 0.15, context=context)
+            for name, check in (("symmetry", symmetry_check),
+                                ("averaging", averaging_identity_check))]
+
+
+def _representation(pipe, eid):
+    dom = pipe.domain
+    g = pipe.green(pipe.pole("interior"), 4 * dom.h)
+    ctr = dom.cell_centers
+    rng = np.random.default_rng(pipe.config.seed + 11)
+    f = rng.standard_normal((3, dom.ncells))
+    f -= f.mean(axis=1, keepdims=True)
+    gd = np.sin(np.pi * ctr[:, 0]) * np.cos(np.pi * ctr[:, 1])
+    rc = representation_check(dom, pipe.coeffs, g, f=f, g=gd, tol=pipe.tol,
+                              adjoint_operator=pipe.operator.adjoint())
+    return [est.bound_report("representation", rc.error_avg, 1e-6,
+                             samples={"point_error": rc.error_point},
+                             context={"pole": g.y.tolist(), "eps": g.eps})]
+
+
+def _caccioppoli(pipe, eid):
+    dom, R0 = pipe.domain, pipe.config.R0
+    g = pipe.green(pipe.pole("interior"), 4 * dom.h)
+    u, p = g.G[:, 0, :], g.Pi[0]
+    f_inf = 1.0 / dom.volume
+    ext = min(dom.extent)
+    xi = dom.cell_centers[dom.nearest_cell(np.full(3, 0.7 * ext))]
+    R = min(0.28 * ext, dist_to_boundary(dom, xi) * 0.95)
+    xb = dom.boundary_face_centroids[-1]
+    Rb = min(0.4 * ext, R0 * 0.9)
+    return [
+        est.caccioppoli_sweep(dom, u, p, f_inf, xi, [R, R / np.sqrt(2), R / 2],
+                              variant="interior", estimate_id="caccioppoli-interior"),
+        est.caccioppoli_sweep(dom, u, p, f_inf, xb, [Rb, Rb / np.sqrt(2), Rb / 2],
+                              variant="boundary", theta=2.0, R0=R0,
+                              estimate_id="caccioppoli-boundary"),
+    ]
+
+
+def _oscillation(pipe, eid):
+    dom = pipe.domain
+    ext = min(dom.extent)
+    ball = BallQuery(tuple(np.array(dom.extent) / 2), min(ext / 2, max(ext / 4, 4 * dom.h)))
+    gamma = partial_oscillation(pipe.coeffs, Frame.identity(), ball)
+    return [est.bound_report("oscillation", gamma, None,
+                             context={"frame": "identity", "R": ball.radius})]
+
+
+def _bogovskii(pipe, eid):
+    dom = pipe.domain
+    gpat = np.where(dom.cell_centers[:, 0] < dom.extent[0] / 2, 1.0, -1.0)
+    gpat -= gpat.mean()
+    sol = solve_divergence(dom, gpat, tol=pipe.tol)
+    return [est.bound_report("bogovskii", sol.quotient, None,
+                             samples={"div_residual": sol.div_residual},
+                             context={"sweeps": sol.sweeps})]
+
+
+def _poincare(pipe, eid):
+    k0 = poincare_constant(pipe.domain, probes=8, seed=pipe.config.seed)
+    return [est.bound_report("poincare", k0, None, context={"probes": 8})]
+
+
+# T1-* are the interior estimates, T2-* the global ones up to the boundary;
+# items i-ii are annulus norms, iii-v weak-type envelopes, vi-viii local L_q
+_THEOREM_ITEMS = {"i": _annulus_norms, "ii": _annulus_norms, "iii": _weak_type,
+                  "iv": _weak_type, "v": _weak_type, "vi": _local_lq,
+                  "vii": _local_lq, "viii": _local_lq}
+ESTIMATES = {
+    **{f"{thm}-{item}": run for thm in ("T1", "T2") for item, run in _THEOREM_ITEMS.items()},
+    "decay": _decay,
+    "symmetry": _symmetry,
+    "representation": _representation,
+    "caccioppoli": _caccioppoli,
+    "oscillation": _oscillation,
+    "bogovskii": _bogovskii,
+    "poincare": _poincare,
+}
+VALID_ESTIMATES = list(ESTIMATES)
+
 
 PRESET_CONFIGS = {
     "smoke": {
@@ -81,10 +235,7 @@ class ExperimentConfig:
     coefficients: dict = dc_field(default_factory=lambda: {"kind": "identity"})
     poles: object = "auto"
     eps_sweep: object = "auto"
-    solver: dict = dc_field(
-        default_factory=lambda: {"tol": 1e-9, "max_iter": None, "c_s": 0.1,
-                                 "method": "auto"}
-    )
+    solver: dict = dc_field(default_factory=lambda: {"tol": 1e-9, "c_s": 0.1})
     estimates: list = dc_field(default_factory=list)
     R0: float = 0.5
     out: str = "stokesgreen-out"
@@ -141,10 +292,14 @@ class ExperimentConfig:
             raise ConfigError("'R0' must lie in (0, 1]")
         if not isinstance(self.seed, int):
             raise ConfigError("'seed' must be an integer")
-        sol = dict(self.solver)
-        tol = sol.get("tol", 1e-9)
-        if not (isinstance(tol, (int, float)) and tol > 0):
-            raise ConfigError("solver.tol must be positive")
+        if not isinstance(self.solver, dict):
+            raise ConfigError("'solver' must be a mapping")
+        unknown = set(self.solver) - {"tol", "c_s"}
+        if unknown:
+            raise ConfigError(f"unknown solver keys: {sorted(unknown)}; valid: ['c_s', 'tol']")
+        for key, value in self.solver.items():
+            if not (isinstance(value, (int, float)) and value > 0):
+                raise ConfigError(f"solver.{key} must be positive")
         if self.preset is not None and self.preset not in PRESET_SIZES:
             raise ConfigError(f"unknown preset {self.preset!r}")
 
@@ -189,6 +344,7 @@ class Pipeline:
             "status": "incomplete",
         }
         self._greens = {}
+        self.tol = config.solver.get("tol", 1e-9)
 
     # -- construction stages ----------------------------------------------
 
@@ -214,7 +370,6 @@ class Pipeline:
             lambda: ConormalOperator(self.domain, self.coeffs,
                                      cfg.solver.get("c_s", 0.1)),
         )
-        self.adjoint_operator = None
         if cfg.poles in ("auto", "auto-boundary"):
             kinds = ("boundary",) if cfg.poles == "auto-boundary" else (
                 "interior", "boundary")
@@ -228,22 +383,12 @@ class Pipeline:
         else:
             self.eps_sweep = [float(e) for e in cfg.eps_sweep]
 
-    def _adjoint(self):
-        if self.coeffs.is_self_adjoint():  # the adjoint matrix is K itself
-            return self.operator
-        if self.adjoint_operator is None:
-            self.adjoint_operator = ConormalOperator(
-                self.domain, adjoint_field(self.coeffs),
-                self.config.solver.get("c_s", 0.1),
-            )
-        return self.adjoint_operator
-
     def green(self, pole, eps):
         key = (tuple(np.round(pole, 12)), round(eps, 12))
         if key not in self._greens:
             self._greens[key] = compute_green(
                 self.domain, self.coeffs, pole, eps,
-                tol=self.config.solver.get("tol", 1e-9), operator=self.operator,
+                tol=self.tol, operator=self.operator,
             )
         return self._greens[key]
 
@@ -253,198 +398,15 @@ class Pipeline:
                 return p
         return self.poles[0][1]
 
-    # -- estimate runners ---------------------------------------------------
-
-    def _profile_grid(self, green, variant):
-        h = self.domain.h
-        lo = 2 * green.eps + h / 2
-        if variant == "interior":
-            hi = dist_to_boundary(self.domain, green.y) / 2
-        else:
-            hi = self.config.R0 * 0.9
-        if hi <= lo:
-            hi = lo + 4 * h
-        return [lo + k * (hi - lo) / 5.0 for k in range(6)]
-
-    def _variant(self, eid):
-        return "interior" if eid.startswith("T1") else "global"
-
-    def _green_for(self, eid):
-        h = self.domain.h
-        kind = "interior" if eid.startswith("T1") or eid == "decay" else "boundary"
-        return self.green(self.pole(kind), 2 * h)
-
     def run_estimate(self, eid):
-        cfg = self.config
-        policy = est.TolerancePolicy()
-        dom = self.domain
-        h = dom.h
-        if eid in ("T1-i", "T1-ii", "T2-i", "T2-ii"):
-            variant = self._variant(eid)
-            g = self._green_for(eid)
-            grid = self._profile_grid(g, variant)
-            part = "G_DG" if eid.endswith("-i") else "Pi"
-            return [est.annulus_norms(dom, g, grid, policy, variant, cfg.R0,
-                                      estimate_id=eid, fit_part=part)]
-        if eid in ("T1-iii", "T1-iv", "T1-v", "T2-iii", "T2-iv", "T2-v"):
-            variant = self._variant(eid)
-            g = self._green_for(eid)
-            name = {"iii": "G", "iv": "DG", "v": "Pi"}[eid.split("-")[1]]
-            values = {"G": g.magnitude, "DG": lambda: g.grad_magnitude(dom),
-                      "Pi": g.pressure_magnitude}[name]()
-            p = est.WEAK_TYPE_EXPONENTS[name]
-            base = cfg.R0 if variant == "global" else min(
-                cfg.R0, dist_to_boundary(dom, g.y))
-            floor = base ** est.WEAK_TYPE_FLOOR_POWER[name]
-            srt = np.sort(values)[::-1]
-            tmax = min(floor * 100.0, srt[min(26, len(srt) - 1)] * 0.999)
-            if tmax <= floor * 1.01:
-                rep = est.EstimateReport(
-                    estimate_id=eid,
-                    rule={"kind": "envelope", "max_ratio": policy.envelope_ratio_max},
-                    samples={"measured": 0.0},
-                    flags=["field max at or below threshold floor; vacuous"],
-                    passed=True, policy=policy.as_dict(),
-                    context={"floor": floor, "field": name},
-                )
-                return [rep]
-            tgrid = np.geomspace(floor * 1.01, tmax, 12)
-            return [est.weak_type_profile(dom, values, p, tgrid, floor, policy, eid)]
-        if eid in ("T1-vi", "T1-vii", "T1-viii", "T2-vi", "T2-vii", "T2-viii"):
-            variant = self._variant(eid)
-            g = self._green_for(eid)
-            grid = self._profile_grid(g, variant)
-            name = {"vi": "G", "vii": "DG", "viii": "Pi"}[eid.split("-")[1]]
-            reps = est.local_lq_norms(dom, g, grid, [1.0], policy, variant,
-                                      cfg.R0, id_prefix=eid, fields=(name,))
-            return list(reps.values())
-        if eid == "decay":
-            out = []
-            for kind, variant in (("interior", "interior"), ("boundary", "global")):
-                g = self.green(self.pole(kind), 2 * h)
-                if variant == "interior":
-                    hi = dist_to_boundary(dom, g.y) / 2
-                else:
-                    hi = cfg.R0 * 0.9
-                lo = 4 * h
-                if hi < lo + 2 * h:
-                    hi = min(8 * h, cfg.R0)
-                radii = sorted({lo + k * (hi - lo) / 4.0 for k in range(5)})
-                out.append(est.decay_profile(dom, g, radii, policy,
-                                             estimate_id=f"decay-{kind}"))
-            return out
-        if eid == "symmetry":
-            # opposite near-boundary poles keep the mollifier balls
-            # separated even on coarse grids
-            shape = dom.shape
-            y = np.array([4.5 * h, (shape[1] // 2 + 0.5) * h,
-                          (shape[2] // 2 + 0.5) * h])
-            x = np.array([dom.extent[0] - 4.5 * h, y[1], y[2]])
-            eps = sigma = 2 * h
-            gd = self.green(y, eps)
-            ga = compute_adjoint_green(dom, self.coeffs, x, sigma,
-                                       tol=cfg.solver.get("tol", 1e-9),
-                                       operator=self._adjoint())
-            sc = symmetry_check(dom, gd, ga)
-            ac = averaging_identity_check(dom, gd, ga)
-            reps = []
-            for name, check in (("symmetry", sc), ("averaging", ac)):
-                rep = est.EstimateReport(
-                    estimate_id=name,
-                    rule={"kind": "bound", "max": 0.15},
-                    samples={"measured": check.discrepancy},
-                    fitted=check.discrepancy,
-                    policy={"bound": 0.15},
-                    context={"x": x.tolist(), "y": y.tolist(), "eps": eps},
-                )
-                rep.passed = rep.recompute_pass()
-                reps.append(rep)
-            return reps
-        if eid == "representation":
-            g = self.green(self.pole("interior"), 4 * h)
-            ctr = dom.cell_centers
-            rng = np.random.default_rng(cfg.seed + 11)
-            f = rng.standard_normal((3, dom.ncells))
-            f -= f.mean(axis=1, keepdims=True)
-            gd = np.sin(np.pi * ctr[:, 0]) * np.cos(np.pi * ctr[:, 1])
-            rc = representation_check(dom, self.coeffs, g, f=f, g=gd,
-                                      tol=cfg.solver.get("tol", 1e-9),
-                                      adjoint_operator=self._adjoint())
-            rep = est.EstimateReport(
-                estimate_id="representation",
-                rule={"kind": "bound", "max": 1e-6},
-                samples={"measured": rc.error_avg, "point_error": rc.error_point},
-                fitted=rc.error_avg,
-                policy={"bound": 1e-6},
-                context={"pole": g.y.tolist(), "eps": g.eps},
-            )
-            rep.passed = rep.recompute_pass()
-            return [rep]
-        if eid == "caccioppoli":
-            g = self.green(self.pole("interior"), 4 * h)
-            u, p = g.G[:, 0, :], g.Pi[0]
-            f_inf = 1.0 / dom.volume
-            ext = min(dom.extent)
-            xi = dom.cell_centers[dom.nearest_cell(np.full(3, 0.7 * ext))]
-            R = min(0.28 * ext, dist_to_boundary(dom, xi) * 0.95)
-            policy = est.TolerancePolicy()
-            reps = [est.caccioppoli_sweep(dom, u, p, f_inf, xi,
-                                          [R, R / np.sqrt(2), R / 2], policy,
-                                          "interior",
-                                          estimate_id="caccioppoli-interior")]
-            xb = dom.boundary_face_centroids[-1]
-            Rb = min(0.4 * ext, cfg.R0 * 0.9)
-            reps.append(est.caccioppoli_sweep(dom, u, p, f_inf, xb,
-                                              [Rb, Rb / np.sqrt(2), Rb / 2], policy,
-                                              "boundary", theta=2.0, R0=cfg.R0,
-                                              estimate_id="caccioppoli-boundary"))
-            return reps
-        if eid == "oscillation":
-            from .coefficients import Frame, partial_oscillation
-            from .domain import BallQuery
-
-            ext = min(dom.extent)
-            radius = min(ext / 2, max(ext / 4, 4 * h))
-            ball = BallQuery(tuple(np.array(dom.extent) / 2), radius)
-            gamma = partial_oscillation(self.coeffs, Frame.identity(), ball)
-            rep = est.EstimateReport(
-                estimate_id="oscillation",
-                rule={"kind": "bound", "max": float("inf")},
-                samples={"measured": gamma},
-                fitted=gamma,
-                policy={"bound": "informational"},
-                context={"frame": "identity", "R": ball.radius},
-            )
-            rep.passed = True
-            return [rep]
-        if eid == "bogovskii":
-            gpat = np.where(dom.cell_centers[:, 0] < dom.extent[0] / 2, 1.0, -1.0)
-            gpat -= gpat.mean()
-            sol = solve_divergence(dom, gpat, tol=cfg.solver.get("tol", 1e-9))
-            rep = est.EstimateReport(
-                estimate_id="bogovskii",
-                rule={"kind": "bound", "max": float("inf")},
-                samples={"measured": sol.quotient,
-                         "div_residual": sol.div_residual},
-                fitted=sol.quotient,
-                policy={"bound": "informational"},
-                context={"sweeps": sol.sweeps},
-            )
-            rep.passed = True
-            return [rep]
-        if eid == "poincare":
-            k0 = poincare_constant(dom, probes=8, seed=cfg.seed)
-            rep = est.EstimateReport(
-                estimate_id="poincare",
-                rule={"kind": "bound", "max": float("inf")},
-                samples={"measured": k0},
-                fitted=k0,
-                policy={"bound": "informational"},
-                context={"probes": 8},
-            )
-            rep.passed = True
-            return [rep]
-        raise ConfigError(f"unknown estimate id {eid!r}")
+        """Reports of one estimate id, stamped with the coefficients digest."""
+        if eid not in ESTIMATES:
+            raise ConfigError(f"unknown estimate id {eid!r}")
+        reports = ESTIMATES[eid](self, eid)
+        digest = self.coeffs.digest()
+        for rep in reports:
+            rep.context.setdefault("coefficients_digest", digest)
+        return reports
 
     # -- outputs ------------------------------------------------------------
 
@@ -474,10 +436,7 @@ def run_experiment(config):
         pipe.build()
         for eid in config.estimates:
             t0 = time.time()
-            reports = pipe.run_estimate(eid)
-            for rep in reports:
-                rep.context.setdefault("coefficients_digest", pipe.coeffs.digest())
-            pipe.reports.extend(reports)
+            pipe.reports.extend(pipe.run_estimate(eid))
             pipe.manifest["stages"][f"estimate:{eid}"] = round(time.time() - t0, 3)
         pipe.export_artifacts()
     except SolverError as exc:
@@ -506,16 +465,12 @@ def verify_fixture(config):
     if not cfg_path.exists():
         raise ConfigError(f"fixture dir {fdir} has no config.json")
     stored = ExperimentConfig.from_dict(json.loads(cfg_path.read_text()))
-    from .domain import build_domain
-    from .coefficients import build_coefficients
-
     domain = build_domain(stored.domain)
     coeffs = build_coefficients(domain, stored.coefficients)
     exports = sorted(fdir.glob("green_*.bin"))
     if not exports:
         raise ConfigError(f"fixture dir {fdir} has no green exports")
-    operator = ConormalOperator(domain, coeffs)
-    adjoint = ConormalOperator(domain, adjoint_field(coeffs))
+    adjoint = ConormalOperator(domain, coeffs, stored.solver.get("c_s", 0.1)).adjoint()
     failures = []
     for path in exports:
         green = GreenApprox.import_file(path, domain)
@@ -564,7 +519,7 @@ def verify(config):
         "version": __version__,
         "preset": preset,
         "config_digest": config.digest(),
-        "criteria": {r.cid: {"passed": r.passed, "seconds": round(r.seconds, 2)}
+        "criteria": {r.cid: {"passed": bool(r.passed), "seconds": round(r.seconds, 2)}
                      for r in results},
         "status": "ok" if all(r.passed for r in results) else "criterion-failures",
     }

@@ -97,6 +97,24 @@ class EstimateReport:
         return "\n".join(lines)
 
 
+def bound_report(estimate_id, measured, bound, samples=None, context=None):
+    """A measured quantity held to an upper bound.
+
+    ``bound=None`` makes the row informational: it is recorded against an
+    infinite bound and always passes.
+    """
+    report = EstimateReport(
+        estimate_id=estimate_id,
+        rule={"kind": "bound", "max": float("inf") if bound is None else bound},
+        samples={"measured": measured, **(samples or {})},
+        fitted=measured,
+        policy={"bound": "informational" if bound is None else bound},
+        context=dict(context or {}),
+    )
+    report.passed = bound is None or report.recompute_pass()
+    return report
+
+
 def write_records(reports, path):
     Path(path).write_text("\n\n".join(r.to_record() for r in reports) + "\n")
 
@@ -205,6 +223,23 @@ def decay_profile(domain, green, radii, policy=TolerancePolicy(), estimate_id="d
     report.fit_residual = resid
     report.passed = report.recompute_pass()
     return report
+
+
+def field_magnitude(domain, green, name):
+    """Pointwise magnitude of G, DG or Pi (see the module docstring)."""
+    if name == "DG":
+        return green.grad_magnitude(domain)
+    return green.magnitude() if name == "G" else green.pressure_magnitude()
+
+
+def profile_grid(domain, green, variant="interior", R0=1.0):
+    """Six equally spaced radii from 2 eps + h/2, just outside the mollifier
+    core, to dist(y, boundary)/2 (interior) or 0.9 R0 (global)."""
+    lo = 2 * green.eps + domain.h / 2
+    hi = dist_to_boundary(domain, green.y) / 2 if variant == "interior" else R0 * 0.9
+    if hi <= lo:
+        hi = lo + 4 * domain.h
+    return [lo + k * (hi - lo) / 5.0 for k in range(6)]
 
 
 def _admissible_radii(domain, green, grid, variant, R0, lower):
@@ -331,6 +366,34 @@ def weak_type_profile(domain, values, exponent, thresholds, floor=0.0,
     return report
 
 
+def weak_type_envelope(domain, green, name, base, policy=TolerancePolicy(),
+                       estimate_id="weak-type"):
+    """Weak-type envelope of the named field above the floor base^power.
+
+    Thresholds run geometrically from just above the floor to the smaller
+    of 100 x floor and the 27th largest cell value: smaller level sets are
+    below the voxel resolution of the measure.  A cap at or below the floor
+    leaves every level set empty, and the report passes vacuously.
+    """
+    values = field_magnitude(domain, green, name)
+    floor = base ** WEAK_TYPE_FLOOR_POWER[name]
+    srt = np.sort(values)[::-1]
+    tmax = min(floor * 100.0, srt[min(26, len(srt) - 1)] * 0.999)
+    if tmax <= floor * 1.01:
+        return EstimateReport(
+            estimate_id=estimate_id,
+            rule={"kind": "envelope", "max_ratio": policy.envelope_ratio_max},
+            samples={"measured": 0.0},
+            flags=["field max at or below threshold floor; vacuous"],
+            passed=True,
+            policy=policy.as_dict(),
+            context={"floor": floor, "field": name},
+        )
+    thresholds = np.geomspace(floor * 1.01, tmax, 12)
+    return weak_type_profile(domain, values, WEAK_TYPE_EXPONENTS[name], thresholds,
+                             floor, policy, estimate_id)
+
+
 LQ_RANGES = {"G": (1.0, D / (D - 2.0)), "DG": (1.0, D / (D - 1.0)),
              "Pi": (1.0, D / (D - 1.0))}
 LQ_PREDICTED = {
@@ -350,11 +413,6 @@ def local_lq_norms(domain, green, R_grid, q_list, policy=TolerancePolicy(),
     range of any requested field raises.  Fits ||.||_{L_q(B_R(y))} vs R.
     """
     q_list = [float(q) for q in q_list]
-    values_by_field = {
-        "G": lambda: green.magnitude(),
-        "DG": lambda: green.grad_magnitude(domain),
-        "Pi": lambda: green.pressure_magnitude(),
-    }
     for name in fields:
         lo, hi = LQ_RANGES[name]
         for q in q_list:
@@ -369,7 +427,7 @@ def local_lq_norms(domain, green, R_grid, q_list, policy=TolerancePolicy(),
     ball_cells = [np.flatnonzero(dist <= R) for R in radii]
     reports = {}
     for name in fields:
-        values = values_by_field[name]()
+        values = field_magnitude(domain, green, name)
         samples = {"radii": radii}
         fits = []
         for q in q_list:

@@ -26,6 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy import fft as sfft
 
+from .coefficients import adjoint_field
 from .errors import CompatibilityError, GeometryError, SolverError
 
 DIM = 3
@@ -208,6 +209,18 @@ class ConormalOperator:
         self.ntot = self.K.shape[0]
         self._prec = None
         self._lu = None
+        self._adjoint = None
+
+    def adjoint(self):
+        """The operator of the adjoint coefficients, whose K is this K's
+        transpose: ``self`` for self-adjoint coefficients, otherwise
+        assembled once with the same ``c_s`` and kept."""
+        if self.coeffs.is_self_adjoint():
+            return self
+        if self._adjoint is None:
+            self._adjoint = ConormalOperator(self.domain, adjoint_field(self.coeffs),
+                                             self.c_s)
+        return self._adjoint
 
     # -- preconditioner ---------------------------------------------------
 

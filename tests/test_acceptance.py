@@ -80,7 +80,7 @@ def test_annulus_criteria_fail_on_unresolved_pole(suite):
     dom = suite.domain(n)
     pole = suite.center_pole(n)
     (g8,) = [g for g in suite.sweep(n) if g.eps == 8 * h]
-    grid = suite._profile_grid(dom, suite.green(n, pole, 2 * h))
+    grid = est.profile_grid(dom, suite.green(n, pole, 2 * h))
     decay = est.annulus_decay_profile(dom, g8, [m * h for m in (4, 5, 6, 7, 8)],
                                       suite.policy)
     norms = est.annulus_oscillation_norms(dom, g8, grid, suite.policy)

@@ -4,10 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stokesgreen.acceptance import AcceptanceSuite, CriterionResult
 from stokesgreen.cli import (
+    ESTIMATES,
     ExperimentConfig,
     PRESET_CONFIGS,
     Pipeline,
+    VALID_ESTIMATES,
     main,
     run_experiment,
     verify,
@@ -58,6 +61,10 @@ MALFORMED = [
     {"domain": {"kind": "box", "extent": [1, 1, 1], "h": 0.125}, "solver": {"tol": -1}},
     {"domain": {"kind": "box", "extent": [1, 1, 1], "h": 0.125}, "bogus_field": 1},
     {"domain": {"kind": "box", "extent": [1, 1, 1], "h": 0.125}, "preset": "huge"},
+    {"domain": {"kind": "box", "extent": [1, 1, 1], "h": 0.125},
+     "solver": {"method": "direct"}},  # never read by any solve
+    {"domain": {"kind": "box", "extent": [1, 1, 1], "h": 0.125}, "solver": {"max_iter": 5}},
+    {"domain": {"kind": "box", "extent": [1, 1, 1], "h": 0.125}, "solver": {"c_s": 0}},
 ]
 
 
@@ -126,6 +133,16 @@ def test_verify_memory_budget_skips_gracefully(tmp_path, capsys):
     assert "SKIP" in capsys.readouterr().out
 
 
+def test_verify_manifest_records_numpy_pass_flags(tmp_path, monkeypatch):
+    # criteria compute their pass flags with numpy comparisons
+    result = CriterionResult("C13", "exterior measure density", np.bool_(True), {})
+    monkeypatch.setattr(AcceptanceSuite, "run", lambda self: [result])
+    cfg = make_config(tmp_path, preset="smoke")
+    assert verify(cfg) == 0
+    manifest = json.loads((Path(cfg.out) / "verify_manifest.json").read_text())
+    assert manifest["criteria"]["C13"]["passed"] is True
+
+
 def test_export_and_fixture_verify_and_tamper(tmp_path):
     out = tmp_path / "fix"
     code = main(["export", "--config", str(_write_export_config(tmp_path, out))])
@@ -166,7 +183,41 @@ def test_builtin_presets_validate():
 def test_self_adjoint_pipeline_reuses_operator_for_adjoint(tmp_path):
     pipe = Pipeline(make_config(tmp_path))
     pipe.build()
-    assert pipe._adjoint() is pipe.operator
+    op = pipe.operator
+    assert op.adjoint() is op
+
+
+def test_estimate_table_order_and_unknown_id(tmp_path):
+    assert VALID_ESTIMATES == list(ESTIMATES)
+    assert VALID_ESTIMATES[:16] == [f"{t}-{k}" for t in ("T1", "T2") for k in (
+        "i", "ii", "iii", "iv", "v", "vi", "vii", "viii")]
+    assert VALID_ESTIMATES[16:] == ["decay", "symmetry", "representation",
+                                    "caccioppoli", "oscillation", "bogovskii",
+                                    "poincare"]
+    assert PRESET_CONFIGS["deep"]["estimates"] == VALID_ESTIMATES
+    pipe = Pipeline(make_config(tmp_path))
+    with pytest.raises(ConfigError):
+        pipe.run_estimate("T9-x")
+
+
+def test_run_and_verify_weak_type_agree(tmp_path):
+    # the CLI rows T1-iii/iv/v and acceptance C06 measure the same envelopes
+    # at the same centre pole and eps = 2h
+    suite = AcceptanceSuite("smoke")
+    c06 = suite.c06_weak_type()
+    cfg = make_config(tmp_path, domain={"kind": "box", "extent": [1.0, 1.0, 1.0],
+                                        "h": 1.0 / 16})
+    pipe = Pipeline(cfg)
+    pipe.build()
+    assert np.array_equal(pipe.pole("interior"), suite.center_pole(16))
+    for eid, accepted in zip(("T1-iii", "T1-iv", "T1-v"), c06.reports):
+        (run,) = pipe.run_estimate(eid)
+        assert run.samples.keys() == accepted.samples.keys()
+        for key, value in run.samples.items():  # thresholds, measures, envelope
+            assert np.array_equal(value, accepted.samples[key]), key
+        assert run.envelope_ratio == accepted.envelope_ratio
+        assert run.flags == accepted.flags
+        assert run.passed == accepted.passed
 
 
 def test_every_estimate_runner_end_to_end(tmp_path):
@@ -174,9 +225,7 @@ def test_every_estimate_runner_end_to_end(tmp_path):
     raw = {
         "domain": {"kind": "box", "extent": [1.0, 1.0, 1.0], "h": 1.0 / 16},
         "coefficients": {"kind": "identity"},
-        "estimates": list(
-            __import__("stokesgreen.cli", fromlist=["VALID_ESTIMATES"]).VALID_ESTIMATES
-        ),
+        "estimates": list(VALID_ESTIMATES),
         "out": str(tmp_path / "full"),
         "seed": 1,
     }
@@ -195,3 +244,14 @@ def test_every_estimate_runner_end_to_end(tmp_path):
         assert any(i.startswith(eid) for i in ids), (eid, ids)
     records = (out / "reports.txt").read_text()
     assert "coefficients_digest" in records
+    # golden rows from before the estimate table replaced the if chain; the
+    # representation error is solver round-off (~1e-11), held to its bound
+    golden = (Path(__file__).parent / "data" / "reports16.csv").read_text().splitlines()
+    assert len(csv_lines) == len(golden)
+    for got, want in zip(csv_lines, golden):
+        got_cols, want_cols = got.split(","), want.split(",")
+        if want_cols[0] == "representation":
+            assert got_cols[0] == want_cols[0] and got_cols[-1] == want_cols[-1]
+            assert float(got_cols[2]) <= 1e-6
+        else:
+            assert got == want
