@@ -38,12 +38,23 @@ from .green import (
     representation_check,
     symmetry_check,
 )
-from .system import ConormalOperator, assemble, lp_norm, solve_conormal, solve_divergence
+from .system import (
+    DEFAULT_TOL,
+    ConormalOperator,
+    assemble,
+    lp_norm,
+    solve_conormal,
+    solve_divergence,
+)
 
 PRESET_SIZES = {"smoke": 16, "standard": 24, "deep": 32}
-# Rough resident-set need for the deep preset (32^3 saddle operators plus
-# preconditioners and field storage), used by the graceful memory skip.
-MEMORY_REQUIREMENT_MB = {"smoke": 300, "standard": 700, "deep": 1600}
+# Resident-set need of each preset, used by the graceful memory skip: the
+# peak RSS of `stokesgreen verify --preset P` in a fresh process (getrusage
+# of the child; numpy 2.4, scipy 1.17, 2-core x86-64 Linux) plus 25%,
+# rounded up to 10 MB.  Measured: smoke 192 MB, standard 254 MB (its
+# criteria other than C08), deep 254 MB; C10 assembles a 32^3 operator in
+# every preset.
+MEMORY_REQUIREMENT_MB = {"smoke": 240, "standard": 320, "deep": 320}
 
 CRITERIA_BY_PRESET = {
     "smoke": ["C01", "C02", "C10", "C12", "C13", "C14"],
@@ -69,14 +80,14 @@ class CriterionResult:
 class AcceptanceSuite:
     """Shared-state runner for the acceptance criteria."""
 
-    def __init__(self, preset="deep", seed=0, tol=1e-9, policy=None):
+    def __init__(self, preset="deep", seed=0, tol=DEFAULT_TOL):
         if preset not in PRESET_SIZES:
             raise StokesGreenError(f"unknown preset {preset!r}")
         self.preset = preset
         self.n = PRESET_SIZES[preset]
         self.seed = seed
         self.tol = tol
-        self.policy = policy or est.TolerancePolicy()
+        self.policy = est.TolerancePolicy()
         self._domains = {}
         self._operators = {}
         self._greens = {}
@@ -88,12 +99,11 @@ class AcceptanceSuite:
             self._domains[n] = build_box((1.0, 1.0, 1.0), 1.0 / n)
         return self._domains[n]
 
-    def operator(self, n, adjoint=False):
+    def operator(self, n):
         if n not in self._operators:
             dom = self.domain(n)
             self._operators[n] = ConormalOperator(dom, constant_identity(dom))
-        op = self._operators[n]
-        return op.adjoint() if adjoint else op
+        return self._operators[n]
 
     def green(self, n, pole, eps):
         key = (n, tuple(np.round(pole, 9)), round(eps, 12))
@@ -131,7 +141,7 @@ class AcceptanceSuite:
             f = rng.standard_normal((3, dom.ncells))
             g = rng.standard_normal(dom.ncells)
             g -= g.mean()
-            system = assemble(dom, op.coeffs, f=f, g=g, operator=op)
+            system = assemble(op, f=f, g=g)
             f1, r1 = solve_conormal(system, tol=1e-9)
             x0 = rng.standard_normal(op.ntot)
             f2, r2 = solve_conormal(system, tol=1e-9, x0=x0)
@@ -283,7 +293,7 @@ class AcceptanceSuite:
             op = self.operator(n)
             gd = self.green(n, y, eps)
             ga = compute_adjoint_green(dom, op.coeffs, x, sigma, tol=self.tol,
-                                       operator=self.operator(n, adjoint=True))
+                                       operator=op.adjoint())
             sc = symmetry_check(dom, gd, ga)
             ac = averaging_identity_check(dom, gd, ga)
             out[n] = {"symmetry": sc.discrepancy, "averaging": ac.discrepancy}
@@ -323,7 +333,7 @@ class AcceptanceSuite:
             gdata = 0.5 * np.cos(np.pi * ctr[:, 2]) * np.sin(np.pi * ctr[:, 0])
             rc = representation_check(
                 dom, op.coeffs, green, f=f, g=gdata, tol=self.tol,
-                adjoint_operator=self.operator(n, adjoint=True),
+                adjoint_operator=op.adjoint(),
             )
             point_errors[n] = rc.error_point
             if n == 16:
@@ -463,7 +473,7 @@ class AcceptanceSuite:
                       ctr[:, 0] * ctr[:, 2]])
         f -= f.mean(axis=1, keepdims=True)
         rc = representation_check(dom, op.coeffs, tampered, f=f, tol=self.tol,
-                                  adjoint_operator=self.operator(n, adjoint=True))
+                                  adjoint_operator=op.adjoint())
         repr_broken = rc.error_avg > 100 * self.tol
         passed = rejected and div_broken and repr_broken
         return CriterionResult(

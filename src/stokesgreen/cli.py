@@ -44,7 +44,13 @@ from .green import (
     representation_check,
     symmetry_check,
 )
-from .system import ConormalOperator, poincare_constant, solve_divergence
+from .system import (
+    DEFAULT_STAB,
+    DEFAULT_TOL,
+    ConormalOperator,
+    poincare_constant,
+    solve_divergence,
+)
 
 # -- estimate runners ---------------------------------------------------------
 #
@@ -174,9 +180,13 @@ def _bogovskii(pipe, eid):
     gpat = np.where(dom.cell_centers[:, 0] < dom.extent[0] / 2, 1.0, -1.0)
     gpat -= gpat.mean()
     sol = solve_divergence(dom, gpat, tol=pipe.tol)
-    return [est.bound_report("bogovskii", sol.quotient, None,
-                             samples={"div_residual": sol.div_residual},
-                             context={"sweeps": sol.sweeps})]
+    report = est.bound_report("bogovskii", sol.quotient, None,
+                              samples={"div_residual": sol.div_residual},
+                              context={"sweeps": sol.sweeps})
+    if not sol.converged:
+        report.flags.append(f"divergence residual {sol.div_residual:.3e} above its "
+                            f"target {sol.div_target:.3e} (div_tol ||g||)")
+    return [report]
 
 
 def _poincare(pipe, eid):
@@ -235,7 +245,7 @@ class ExperimentConfig:
     coefficients: dict = dc_field(default_factory=lambda: {"kind": "identity"})
     poles: object = "auto"
     eps_sweep: object = "auto"
-    solver: dict = dc_field(default_factory=lambda: {"tol": 1e-9, "c_s": 0.1})
+    solver: dict = dc_field(default_factory=lambda: {"tol": DEFAULT_TOL, "c_s": DEFAULT_STAB})
     estimates: list = dc_field(default_factory=list)
     R0: float = 0.5
     out: str = "stokesgreen-out"
@@ -344,7 +354,7 @@ class Pipeline:
             "status": "incomplete",
         }
         self._greens = {}
-        self.tol = config.solver.get("tol", 1e-9)
+        self.tol = config.solver.get("tol", DEFAULT_TOL)
 
     # -- construction stages ----------------------------------------------
 
@@ -368,7 +378,7 @@ class Pipeline:
         self.operator = self._stage(
             "assemble",
             lambda: ConormalOperator(self.domain, self.coeffs,
-                                     cfg.solver.get("c_s", 0.1)),
+                                     cfg.solver.get("c_s", DEFAULT_STAB)),
         )
         if cfg.poles in ("auto", "auto-boundary"):
             kinds = ("boundary",) if cfg.poles == "auto-boundary" else (
@@ -470,7 +480,8 @@ def verify_fixture(config):
     exports = sorted(fdir.glob("green_*.bin"))
     if not exports:
         raise ConfigError(f"fixture dir {fdir} has no green exports")
-    adjoint = ConormalOperator(domain, coeffs, stored.solver.get("c_s", 0.1)).adjoint()
+    adjoint = ConormalOperator(domain, coeffs,
+                               stored.solver.get("c_s", DEFAULT_STAB)).adjoint()
     failures = []
     for path in exports:
         green = GreenApprox.import_file(path, domain)
@@ -481,7 +492,7 @@ def verify_fixture(config):
         f = rng.standard_normal((3, domain.ncells))
         f -= f.mean(axis=1, keepdims=True)
         rc = representation_check(domain, coeffs, green, f=f,
-                                  tol=stored.solver.get("tol", 1e-9),
+                                  tol=stored.solver.get("tol", DEFAULT_TOL),
                                   adjoint_operator=adjoint)
         if rc.error_avg > 1e-6:
             failures.append(
@@ -507,7 +518,7 @@ def verify(config):
         )
         return 0
     suite = AcceptanceSuite(preset=preset, seed=config.seed,
-                            tol=config.solver.get("tol", 1e-9))
+                            tol=config.solver.get("tol", DEFAULT_TOL))
     results = suite.run()
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -176,10 +176,14 @@ class VoxelDomain:
         return ids[ids >= 0]
 
     def nearest_cell(self, point):
-        """Id of the included cell whose center is nearest to the point."""
+        """Id of the included cell whose center is nearest to the point.
+
+        That is the cell holding the point, since voxels are the Voronoi
+        cells of their centers.  A point in no included cell raises
+        DomainError; no nearby included cell is searched for.
+        """
         point = np.asarray(point, dtype=float)
         if not self.contains(point):
-            # Fall back to a search over neighbours; only exact outsiders fail.
             raise DomainError(f"point {point.tolist()} is outside the domain")
         idx = np.minimum(
             np.floor(point / self.h).astype(int), np.array(self.shape) - 1

@@ -21,7 +21,7 @@ import numpy as np
 
 from .domain import dist_to_boundary
 from .errors import DataError, GeometryError, ParameterError, ResolutionError
-from .system import DIM, grid_operators
+from .system import DIM, grid_operators, lp_norm
 
 D = DIM  # exponents below are the d = 3 values of the general formulas
 
@@ -162,12 +162,6 @@ def fit_power_law(samples):
     return float(coef[0]), float(coef[1]), resid
 
 
-def lq_norm_cells(domain, values, q, cells):
-    """Midpoint L_q norm of a cellwise field restricted to given cells."""
-    v = np.abs(np.asarray(values, dtype=float)[cells])
-    return float((domain.h**3 * np.sum(v**q)) ** (1.0 / q))
-
-
 def distribution_by_sorting(values, thresholds, h):
     """Exact level-set measures |{|v| > t}| via a sorted copy (oracle)."""
     v = np.sort(np.abs(np.asarray(values, dtype=float)))
@@ -273,9 +267,9 @@ def annulus_norms(domain, green, R_grid, policy=TolerancePolicy(), variant="inte
         out = np.flatnonzero(dist > R)
         if len(out) == 0:
             continue
-        g6 = lq_norm_cells(domain, mag, 2 * D / (D - 2), out)
-        d2 = lq_norm_cells(domain, grad, 2, out)
-        p2 = lq_norm_cells(domain, pres, 2, out)
+        g6 = lp_norm(domain, mag, 2 * D / (D - 2), out)
+        d2 = lp_norm(domain, grad, 2, out)
+        p2 = lp_norm(domain, pres, 2, out)
         kept.append(R)
         rows["G_L6"].append(g6)
         rows["DG_L2"].append(d2)
@@ -431,7 +425,7 @@ def local_lq_norms(domain, green, R_grid, q_list, policy=TolerancePolicy(),
         samples = {"radii": radii}
         fits = []
         for q in q_list:
-            norms = [lq_norm_cells(domain, values, q, c) for c in ball_cells]
+            norms = [lp_norm(domain, values, q, c) for c in ball_cells]
             samples[f"norms_q{q:g}"] = norms
             slope, _, resid = fit_power_law(zip(radii, norms))
             fits.append((q, slope, resid))
@@ -546,11 +540,10 @@ def annulus_oscillation_norms(domain, green, radii, policy=TolerancePolicy(),
     grad = green.grad_magnitude(domain)
     rows = {"G_L6": [], "DG_L2": [], "Pi_L2": []}
     for cells in annulus_cells(domain, green, radii, 1, 2):
-        rows["G_L6"].append(lq_norm_cells(
-            domain, annulus_deviation(green.G, cells), 2 * D / (D - 2), slice(None)))
-        rows["DG_L2"].append(lq_norm_cells(domain, grad, 2, cells))
-        rows["Pi_L2"].append(lq_norm_cells(
-            domain, annulus_deviation(green.Pi, cells), 2, slice(None)))
+        rows["G_L6"].append(lp_norm(domain, annulus_deviation(green.G, cells),
+                                    2 * D / (D - 2)))
+        rows["DG_L2"].append(lp_norm(domain, grad, 2, cells))
+        rows["Pi_L2"].append(lp_norm(domain, annulus_deviation(green.Pi, cells), 2))
     combined = [sum(parts) for parts in zip(*rows.values())]
     return _annulus_slope_report(
         domain, green, estimate_id, radii, {**rows, "combined": combined},
@@ -569,10 +562,9 @@ def annulus_local_l1(domain, green, radii, policy=TolerancePolicy(),
     grad = green.grad_magnitude(domain)
     pres = green.pressure_magnitude()
     norms = {
-        "G": [lq_norm_cells(domain, annulus_deviation(green.G, c), 1, slice(None))
-              for c in annuli],
-        "DG": [lq_norm_cells(domain, grad, 1, c) for c in annuli],
-        "Pi": [lq_norm_cells(domain, pres, 1, c) for c in annuli],
+        "G": [lp_norm(domain, annulus_deviation(green.G, c), 1) for c in annuli],
+        "DG": [lp_norm(domain, grad, 1, c) for c in annuli],
+        "Pi": [lp_norm(domain, pres, 1, c) for c in annuli],
     }
     return {
         name: _annulus_slope_report(
@@ -586,15 +578,6 @@ def annulus_local_l1(domain, green, radii, policy=TolerancePolicy(),
 
 # ---------------------------------------------------------------------------
 # Caccioppoli quotients
-
-
-def _grad_sq_field(domain, u):
-    ops = grid_operators(domain)
-    total = np.zeros(domain.ncells)
-    for comp in np.atleast_2d(u):
-        g = ops.gradient(comp)
-        total += np.einsum("ac,ac->c", g, g)
-    return total
 
 
 def caccioppoli_interior(domain, u, p, f_inf, x0, R):
@@ -632,7 +615,7 @@ def _caccioppoli(domain, u, p, f_inf, x0, R, subtract_p_mean):
     outer = domain.cells_in_ball(x0, R)
     if len(inner) == 0 or len(outer) == 0:
         raise ResolutionError(f"Caccioppoli balls at R = {R:.4g} contain no cells")
-    grad_sq = _grad_sq_field(domain, u)
+    grad_sq = grid_operators(domain).grad_sq(u)
     du = float(np.sqrt(h3 * grad_sq[inner].sum()))
     p_in = np.asarray(p, dtype=float)[inner]
     if subtract_p_mean:

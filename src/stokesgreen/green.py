@@ -27,8 +27,10 @@ from .errors import (
     SeparationError,
 )
 from .system import (
+    DEFAULT_TOL,
     DIM,
     ConormalOperator,
+    SolveReport,
     assemble,
     grid_operators,
     lp_norm,
@@ -109,13 +111,7 @@ class GreenApprox:
 
     def grad_magnitude(self, domain):
         """Pointwise Frobenius norm of the centered gradient |D_x G|."""
-        ops = grid_operators(domain)
-        total = np.zeros(domain.ncells)
-        for j in range(DIM):
-            for k in range(DIM):
-                g = ops.gradient(self.G[j, k])
-                total += np.einsum("ac,ac->c", g, g)
-        return np.sqrt(total)
+        return np.sqrt(grid_operators(domain).grad_sq(self.G))
 
     def value_at(self, domain, x):
         """The 3x3 matrix G(x, y) at the cell center nearest to x."""
@@ -166,8 +162,6 @@ class GreenApprox:
 
     @classmethod
     def import_file(cls, path, domain):
-        from .system import SolveReport
-
         path = Path(path)
         meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
         nc = domain.ncells
@@ -176,9 +170,7 @@ class GreenApprox:
             SolveReport(
                 iterations=r["iterations"], residual=r["residual"],
                 grad_norm=r.get("grad_norm", 0.0), p_norm=r.get("p_norm", 0.0),
-                data_norms={}, energy_quotient=None, div_residual=0.0,
-                stab_slack=r["stab_slack"], mean_abs=0.0, mean_projection=0.0,
-                method="import",
+                energy_quotient=None, stab_slack=r["stab_slack"], method="import",
             )
             for r in meta["solver"]
         ]
@@ -195,15 +187,16 @@ class GreenApprox:
         )
 
 
-def compute_green(domain, coeffs, y, eps, tol=1e-9, operator=None, c_s=0.1):
+def compute_green(domain, coeffs, y, eps, tol=DEFAULT_TOL, operator=None):
     """Approximated Green function (G_eps(., y), Pi_eps(., y)).
 
     Solves one conormal problem per unit direction with data
-    ``f = Phi_{eps,y} e_k`` and no divergence source.  Errors raised by a
-    column solve are re-raised tagged with the column index.
+    ``f = Phi_{eps,y} e_k`` and no divergence source, on ``operator`` or,
+    without one, on ``ConormalOperator(domain, coeffs)``.  Errors raised by
+    a column solve are re-raised tagged with the column index.
     """
     src = mollified_rhs(domain, y, eps)
-    op = operator if operator is not None else ConormalOperator(domain, coeffs, c_s)
+    op = operator if operator is not None else ConormalOperator(domain, coeffs)
     nc = domain.ncells
     G = np.zeros((DIM, DIM, nc))
     Pi = np.zeros((DIM, nc))
@@ -211,7 +204,7 @@ def compute_green(domain, coeffs, y, eps, tol=1e-9, operator=None, c_s=0.1):
     for k in range(DIM):
         f = np.zeros((DIM, nc))
         f[k] = src.phi
-        system = assemble(domain, op.coeffs, f=f, operator=op)
+        system = assemble(op, f=f)
         try:
             field, report = solve_conormal(system, tol=tol)
         except Exception as exc:
@@ -231,15 +224,16 @@ def compute_green(domain, coeffs, y, eps, tol=1e-9, operator=None, c_s=0.1):
     )
 
 
-def compute_adjoint_green(domain, coeffs, x, sigma, tol=1e-9, operator=None, c_s=0.1):
+def compute_adjoint_green(domain, coeffs, x, sigma, tol=DEFAULT_TOL, operator=None):
     """Approximated Green function of the adjoint operator at pole x.
 
-    Re-assembles with the adjoint coefficients rather than transposing the
-    discrete operator; a transpose-equality test ties the two together.
+    ``operator`` is the adjoint operator; without one, the adjoint
+    coefficients are assembled rather than the discrete operator transposed
+    (a transpose-equality test ties the two together).
     """
     op = operator
     if op is None:
-        op = ConormalOperator(domain, adjoint_field(coeffs), c_s)
+        op = ConormalOperator(domain, adjoint_field(coeffs))
     out = compute_green(domain, op.coeffs, x, sigma, tol=tol, operator=op)
     out.adjoint = True
     return out
@@ -291,21 +285,12 @@ class AveragingCheck:
     separation: float
 
 
-def averaging_identity_check(domain, direct, adjoint=None, *, coeffs=None,
-                             x=None, sigma=None, tol=1e-9):
+def averaging_identity_check(domain, direct, adjoint):
     """Compare G*_sigma(y, x) with the sigma-average of G_eps(., y)^T.
 
     The identity is exact only in the eps -> 0 limit; callers sweep eps and
-    watch the trend.  Pass either a precomputed adjoint GreenApprox at pole
-    x (sharing it across an eps sweep avoids repeated solves) or
-    ``coeffs``, ``x``, ``sigma`` to have it computed here.
+    watch the trend, sharing one adjoint GreenApprox at pole x.
     """
-    if adjoint is None:
-        if coeffs is None or x is None or sigma is None:
-            raise GeometryError(
-                "averaging check needs an adjoint GreenApprox or (coeffs, x, sigma)"
-            )
-        adjoint = compute_adjoint_green(domain, coeffs, x, sigma, tol=tol)
     if not adjoint.adjoint:
         raise GeometryError("averaging check needs an adjoint-side GreenApprox")
     x, y = adjoint.y, direct.y
@@ -349,7 +334,7 @@ class RepresentationCheck:
     u_max: float
 
 
-def representation_check(domain, coeffs, green, f=None, g=None, tol=1e-9,
+def representation_check(domain, coeffs, green, f=None, g=None, tol=DEFAULT_TOL,
                          adjoint_operator=None):
     """Reproduce the adjoint-problem solution from the Green pair.
 
@@ -368,9 +353,8 @@ def representation_check(domain, coeffs, green, f=None, g=None, tol=1e-9,
         raise CompatibilityError("representation data f must be mean-zero")
     op = adjoint_operator
     if op is None:
-        op = ConormalOperator(domain, adjoint_field(coeffs), 0.1)
-    system = assemble(domain, op.coeffs, f=fv, g=gv, operator=op)
-    field, report = solve_conormal(system, tol=tol)
+        op = ConormalOperator(domain, adjoint_field(coeffs))
+    field, _ = solve_conormal(assemble(op, f=fv, g=gv), tol=tol)
 
     predicted = np.empty(DIM)
     for k in range(DIM):
@@ -410,7 +394,7 @@ class EpsilonConvergenceTable:
         return [r.diff_l2_annulus for r in self.rows]
 
 
-def epsilon_convergence(domain, coeffs, y, eps_list, R, tol=1e-9, operator=None):
+def epsilon_convergence(domain, coeffs, y, eps_list, R, tol=DEFAULT_TOL, operator=None):
     """Cauchy table for the eps sweep of approximated Green functions.
 
     For consecutive eps values, measures ||G_i - G_j|| in L2 away from the
@@ -423,7 +407,7 @@ def epsilon_convergence(domain, coeffs, y, eps_list, R, tol=1e-9, operator=None)
         raise ResolutionError("smallest eps is below the resolvable 2h")
     if not R > 2 * max(eps_list):
         raise ResolutionError("annulus radius R must exceed twice the largest eps")
-    op = operator if operator is not None else ConormalOperator(domain, coeffs, 0.1)
+    op = operator if operator is not None else ConormalOperator(domain, coeffs)
     greens = [compute_green(domain, coeffs, y, e, tol=tol, operator=op) for e in eps_list]
     ball = domain.cells_in_ball(greens[0].y, R)
     inside = np.zeros(domain.ncells, dtype=bool)

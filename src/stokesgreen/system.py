@@ -125,6 +125,15 @@ class GridOperators:
         """Centered per-cell divergence of a cellwise vector field (3, n)."""
         return sum(self.dbar[a] @ u[a] for a in range(DIM))
 
+    def grad_sq(self, u):
+        """Per-cell squared Frobenius norm of the centered gradient of the
+        component fields ``u`` (..., n), summed over components in order."""
+        total = np.zeros(self.domain.ncells)
+        for comp in np.reshape(u, (-1, self.domain.ncells)):
+            g = self.gradient(comp)
+            total += np.einsum("ac,ac->c", g, g)
+        return total
+
     def grad_energy_sq(self, u):
         """Quadrature of the squared gradient matching the viscous form."""
         h3 = self.domain.h**3
@@ -366,26 +375,9 @@ class SolveReport:
     residual: float
     grad_norm: float
     p_norm: float
-    data_norms: dict
     energy_quotient: float | None
-    div_residual: float
     stab_slack: float
-    mean_abs: float
-    mean_projection: float
     method: str
-    converged: bool = True
-
-    def lines(self):
-        out = []
-        for k, v in self.__dict__.items():
-            if isinstance(v, dict):
-                for kk, vv in v.items():
-                    out.append(f"{k}.{kk}={vv:.6e}")
-            elif v is None:
-                out.append(f"{k}=none")
-            else:
-                out.append(f"{k}={v}")
-        return "\n".join(out)
 
 
 @dataclass
@@ -394,30 +386,8 @@ class SaddleSystem:
 
     operator: ConormalOperator
     rhs: np.ndarray
-    g: np.ndarray
     data_norms: dict = dc_field(default_factory=dict)
     mean_projection: float = 0.0
-
-
-def export_field(domain, field, path):
-    """Write a Field as flat binary, 4 doubles per cell (u1, u2, u3, p)."""
-    import json
-    from pathlib import Path
-
-    path = Path(path)
-    dense = np.concatenate([field.u, field.p[None]], axis=0).T
-    path.write_bytes(np.ascontiguousarray(dense).tobytes())
-    meta = {"shape": list(domain.shape), "h": domain.h, "ncells": domain.ncells,
-            "layout": "cell-major u1,u2,u3,p"}
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(meta, indent=1))
-
-
-def import_field(domain, path):
-    from pathlib import Path
-
-    raw = np.frombuffer(Path(path).read_bytes(), dtype=float)
-    dense = raw.reshape(domain.ncells, 4).T
-    return Field(u=dense[:3].copy(), p=dense[3].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -435,21 +405,21 @@ def _cellwise(domain, val, vector=False):
     return arr
 
 
-def lp_norm(domain, values, p):
-    """Cellwise midpoint-quadrature L_p norm."""
-    v = np.abs(np.asarray(values, dtype=float))
+def lp_norm(domain, values, p, cells=slice(None)):
+    """Cellwise midpoint-quadrature L_p norm, over the given cells."""
+    v = np.abs(np.asarray(values, dtype=float)[cells])
     return float((domain.h**3 * np.sum(v**p)) ** (1.0 / p))
 
 
-def assemble(domain, coeffs, f=None, f_alpha=None, g=None, c_s=DEFAULT_STAB, operator=None):
-    """Assemble the weak-form system for data (f, f_alpha, g).
+def assemble(op, f=None, f_alpha=None, g=None):
+    """Assemble the weak-form system of the operator for data (f, f_alpha, g).
 
     ``f`` is a cellwise vector (3, ncells) projected to mean zero (the
     projection magnitude is reported); ``f_alpha`` is indexed [alpha][comp]
     with shape (3, 3, ncells); ``g`` is a cellwise scalar.  No boundary rows
     are modified: the conormal condition is natural in the weak form.
     """
-    op = operator if operator is not None else ConormalOperator(domain, coeffs, c_s)
+    domain = op.domain
     nc = domain.ncells
     h3 = domain.h**3
     fv = _cellwise(domain, f, vector=True)
@@ -477,7 +447,6 @@ def assemble(domain, coeffs, f=None, f_alpha=None, g=None, c_s=DEFAULT_STAB, ope
     return SaddleSystem(
         operator=op,
         rhs=rhs,
-        g=gv,
         data_norms=data_norms,
         mean_projection=float(np.abs(means).max()),
     )
@@ -490,11 +459,8 @@ def solve_conormal(system, tol=DEFAULT_TOL, max_iter=None, x0=None, method="auto
     nc = op.nc
     u = x[: op.nu].reshape(DIM, nc).copy()
     p = x[op.nu : op.nu + nc].copy()
-    mean_before = float(np.abs(u.mean(axis=1)).max())
     u -= u.mean(axis=1, keepdims=True)  # constants are in the operator kernel
     dom = op.domain
-    div = op.ops.divergence(u)
-    div_res = lp_norm(dom, div - system.g, 2)
     slack = lp_norm(dom, (op.C @ p) / dom.h**3, 2)
     grad = np.sqrt(op.ops.grad_energy_sq(u))
     pn = lp_norm(dom, p, 2)
@@ -505,12 +471,8 @@ def solve_conormal(system, tol=DEFAULT_TOL, max_iter=None, x0=None, method="auto
         residual=res,
         grad_norm=grad,
         p_norm=pn,
-        data_norms=dict(system.data_norms),
         energy_quotient=quotient,
-        div_residual=div_res,
         stab_slack=slack,
-        mean_abs=float(np.abs(u.mean(axis=1)).max()),
-        mean_projection=max(system.mean_projection, mean_before),
         method="lgmres" if method == "auto" else method,
     )
     return Field(u=u, p=p), report
@@ -520,53 +482,51 @@ def solve_conormal(system, tol=DEFAULT_TOL, max_iter=None, x0=None, method="auto
 class DivergenceSolution:
     u: np.ndarray  # (3, ncells) velocity with div u = g
     quotient: float  # ||Du|| / ||g||
-    div_residual: float
+    div_residual: float  # ||div u - g||
     sweeps: int
-    report: SolveReport
+    div_target: float  # div_tol ||g||
+    converged: bool  # div_residual <= div_target
 
 
-def solve_divergence(domain, g, tol=DEFAULT_TOL, div_tol=1e-8, max_sweeps=16, c_s=DEFAULT_STAB, operator=None):
+def solve_divergence(domain, g, tol=DEFAULT_TOL, div_tol=1e-8, max_sweeps=16):
     """Minimal-energy velocity with prescribed divergence (mean-zero g).
 
     Solves the identity-coefficient conormal system with data (0, 0, g);
     the stabilization pollution of ``div u`` is removed by correction
     sweeps on the constraint data until ``||div u - g|| <= div_tol ||g||``
-    or the reduction stalls.
+    or the reduction stalls.  ``converged`` records whether that bound held.
     """
     from .coefficients import constant_identity
 
     gv = _cellwise(domain, g)
     gnorm = lp_norm(domain, gv, 2)
     if gnorm == 0:
-        nc = domain.ncells
-        rep = SolveReport(0, 0.0, 0.0, 0.0, {"g_L2": 0.0}, None, 0.0, 0.0, 0.0, 0.0, "lgmres")
-        return DivergenceSolution(np.zeros((DIM, nc)), 0.0, 0.0, 0, rep)
+        return DivergenceSolution(np.zeros((DIM, domain.ncells)), 0.0, 0.0, 0, 0.0, True)
     if abs(gv.mean()) * domain.volume > COMPAT_REL * gnorm:
         raise CompatibilityError(
             f"divergence data must have zero mean: |(g)| = {abs(gv.mean()):.3e}"
         )
-    op = operator if operator is not None else ConormalOperator(
-        domain, constant_identity(domain), c_s
-    )
+    op = ConormalOperator(domain, constant_identity(domain))
     ops = op.ops
     g_in = gv.copy()
     x0 = None
     best = None
     prev = np.inf
     for sweep in range(max_sweeps):
-        system = assemble(domain, op.coeffs, g=g_in, operator=op)
-        field, report = solve_conormal(system, tol=tol, x0=x0)
+        field, _ = solve_conormal(assemble(op, g=g_in), tol=tol, x0=x0)
         resid = lp_norm(domain, ops.divergence(field.u) - gv, 2)
         if best is None or resid < best[0]:
-            best = (resid, field, report, sweep + 1)
+            best = (resid, field, sweep + 1)
         if resid <= div_tol * gnorm or resid > 0.97 * prev:  # done or stalling
             break
         prev = resid
         g_in = g_in + (gv - ops.divergence(field.u))
         x0 = np.concatenate([field.u.ravel(), field.p, np.zeros(DIM)])
-    resid, field, report, sweeps = best
+    resid, field, sweeps = best
     quotient = np.sqrt(ops.grad_energy_sq(field.u)) / gnorm
-    return DivergenceSolution(field.u, float(quotient), float(resid), sweeps, report)
+    target = div_tol * gnorm
+    return DivergenceSolution(field.u, float(quotient), float(resid), sweeps,
+                              float(target), bool(resid <= target))
 
 
 def poincare_constant(domain, probes=8, seed=0):

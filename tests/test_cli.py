@@ -1,9 +1,11 @@
+import functools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stokesgreen import cli, system
 from stokesgreen.acceptance import AcceptanceSuite, CriterionResult
 from stokesgreen.cli import (
     ESTIMATES,
@@ -17,6 +19,7 @@ from stokesgreen.cli import (
 )
 from stokesgreen.errors import ConfigError
 
+DATA = Path(__file__).parent / "data"
 BASE = {
     "domain": {"kind": "box", "extent": [1.0, 1.0, 1.0], "h": 0.125},
     "coefficients": {"kind": "identity"},
@@ -246,7 +249,7 @@ def test_every_estimate_runner_end_to_end(tmp_path):
     assert "coefficients_digest" in records
     # golden rows from before the estimate table replaced the if chain; the
     # representation error is solver round-off (~1e-11), held to its bound
-    golden = (Path(__file__).parent / "data" / "reports16.csv").read_text().splitlines()
+    golden = (DATA / "reports16.csv").read_text().splitlines()
     assert len(csv_lines) == len(golden)
     for got, want in zip(csv_lines, golden):
         got_cols, want_cols = got.split(","), want.split(",")
@@ -255,3 +258,29 @@ def test_every_estimate_runner_end_to_end(tmp_path):
             assert float(got_cols[2]) <= 1e-6
         else:
             assert got == want
+    # the records as text, with the representation record held to its id
+    # and pass line
+    got_records = records.strip().split("\n\n")
+    want_records = (DATA / "reports16.txt").read_text().strip().split("\n\n")
+    assert len(got_records) == len(want_records)
+    for got, want in zip(got_records, want_records):
+        if want.startswith("[representation]"):
+            got_lines, want_lines = got.splitlines(), want.splitlines()
+            assert got_lines[0] == want_lines[0] and got_lines[-1] == want_lines[-1]
+        else:
+            assert got == want
+
+
+def test_bogovskii_row_flags_a_missed_divergence_target(tmp_path, monkeypatch):
+    # at 8^3 the correction sweeps stall near 1e-2 relative, far above
+    # div_tol = 1e-8: the row says so, and stays informational
+    pipe = Pipeline(make_config(tmp_path))
+    pipe.build()
+    (missed,) = pipe.run_estimate("bogovskii")
+    assert missed.passed
+    assert len(missed.flags) == 1 and "above its target" in missed.flags[0]
+    # a target the sweeps meet gives no flag
+    monkeypatch.setattr(cli, "solve_divergence",
+                        functools.partial(system.solve_divergence, div_tol=0.05))
+    (met,) = pipe.run_estimate("bogovskii")
+    assert met.flags == [] and met.passed

@@ -73,14 +73,14 @@ def test_general_tensor_energy_exact_on_linear_probes():
 
 def test_zero_data_gives_zero_rhs(box8):
     domain, coeffs, op = box8
-    system = assemble(domain, coeffs, operator=op)
+    system = assemble(op)
     assert np.all(system.rhs == 0.0)
 
 
 def test_constant_f_projects_to_zero(box8):
     domain, coeffs, op = box8
     f = np.ones((3, domain.ncells)) * np.array([[2.0], [-1.0], [0.5]])
-    system = assemble(domain, coeffs, f=f, operator=op)
+    system = assemble(op, f=f)
     assert np.allclose(system.rhs, 0.0, atol=1e-14)
     assert system.mean_projection == pytest.approx(2.0)
 
@@ -89,7 +89,7 @@ def test_data_shape_mismatch():
     domain = build_box((1.0, 1.0, 1.0), 0.25)
     coeffs = constant_identity(domain)
     with pytest.raises(GeometryError):
-        assemble(domain, coeffs, f=np.zeros((3, 7)))
+        assemble(ConormalOperator(domain, coeffs), f=np.zeros((3, 7)))
 
 
 def test_adjoint_operator_is_transpose():
@@ -109,7 +109,7 @@ def test_adjoint_operator_is_transpose():
 
 def test_zero_data_solves_to_zero(box8):
     domain, coeffs, op = box8
-    system = assemble(domain, coeffs, operator=op)
+    system = assemble(op)
     field, report = solve_conormal(system)
     assert np.all(field.u == 0.0)
     assert np.all(field.p == 0.0)
@@ -124,7 +124,7 @@ def test_dense_oracle_small_grid():
     assert not coeffs.is_self_adjoint()
     f = rng.standard_normal((3, domain.ncells))
     g = rng.standard_normal(domain.ncells)
-    system = assemble(domain, coeffs, f=f, g=g, operator=op)
+    system = assemble(op, f=f, g=g)
     field, report = solve_conormal(system, tol=1e-10)
     dense = np.linalg.solve(op.K.toarray(), system.rhs)
     u_dense = dense[: op.nu].reshape(3, -1)
@@ -151,7 +151,7 @@ def test_uniqueness_across_initial_guesses(box16):
     domain, coeffs, op = box16
     rng = np.random.default_rng(17)
     f = rng.standard_normal((3, domain.ncells))
-    system = assemble(domain, coeffs, f=f, operator=op)
+    system = assemble(op, f=f)
     f1, _ = solve_conormal(system, tol=1e-10)
     f2, _ = solve_conormal(system, tol=1e-10, x0=rng.standard_normal(op.ntot))
     diff = np.sqrt(op.ops.grad_energy_sq(f1.u - f2.u)) + lp_norm(
@@ -173,7 +173,7 @@ def test_energy_quotient_stable_under_refinement():
             np.cos(np.pi * c[:, 2]),
             c[:, 0] * c[:, 1],
         ])
-        system = assemble(domain, coeffs, f=f, operator=op)
+        system = assemble(op, f=f)
         _, report = solve_conormal(system, tol=1e-9)
         quotients.append(report.energy_quotient)
     assert max(quotients) / min(quotients) <= 1.25
@@ -199,7 +199,7 @@ def test_natural_bc_manufactured_solution_converges():
         coeffs = constant_identity(domain)
         op = ConormalOperator(domain, coeffs)
         u_exact, p_exact, f, g = _mms_fields(domain)
-        system = assemble(domain, coeffs, f=f, g=g, operator=op)
+        system = assemble(op, f=f, g=g)
         field, _ = solve_conormal(system, tol=1e-10)
         err = np.sqrt(sum(lp_norm(domain, field.u[i] - u_exact[i], 2) ** 2
                           for i in range(3)))
@@ -236,7 +236,7 @@ def test_solver_failure_carries_best_residual(box16):
     domain, coeffs, op = box16
     rng = np.random.default_rng(23)
     f = rng.standard_normal((3, domain.ncells))
-    system = assemble(domain, coeffs, f=f, operator=op)
+    system = assemble(op, f=f)
     with pytest.raises(SolverError) as err:
         solve_conormal(system, tol=1e-9, max_iter=3)
     assert err.value.best_residual is not None
@@ -247,7 +247,7 @@ def test_direct_method_available(box8):
     domain, coeffs, op = box8
     rng = np.random.default_rng(29)
     f = rng.standard_normal((3, domain.ncells))
-    system = assemble(domain, coeffs, f=f, operator=op)
+    system = assemble(op, f=f)
     field, report = solve_conormal(system, method="direct")
     assert report.residual <= 1e-9
 
@@ -275,7 +275,8 @@ def test_masked_preconditioner_spd_and_h_independent():
         domain = _l_shape(n)
         f = np.zeros((3, domain.ncells))
         f[0] = mollified_rhs(domain, (0.3, 0.3, 0.3), 2.0 / n).phi
-        _, report = solve_conormal(assemble(domain, constant_identity(domain), f=f))
+        op = ConormalOperator(domain, constant_identity(domain))
+        _, report = solve_conormal(assemble(op, f=f))
         assert report.method == "lgmres"
         steps.append(report.iterations)
     assert abs(steps[1] - steps[0]) <= 0.1 * min(steps)
@@ -287,7 +288,8 @@ def test_block_triangular_preconditioner_h_independent_on_box():
         domain = build_box((1.0, 1.0, 1.0), 1.0 / n)
         f = np.zeros((3, domain.ncells))
         f[0] = mollified_rhs(domain, (0.5, 0.5, 0.5), 2.0 / n).phi
-        _, report = solve_conormal(assemble(domain, constant_identity(domain), f=f))
+        op = ConormalOperator(domain, constant_identity(domain))
+        _, report = solve_conormal(assemble(op, f=f))
         assert report.residual <= 1e-9
         steps.append(report.iterations)
     assert abs(steps[1] - steps[0]) <= 0.1 * min(steps)
@@ -308,7 +310,8 @@ def test_checkerboard_column_matches_direct():
     assert all(r.residual <= 1e-9 for r in green.reports)
     f = np.zeros((3, domain.ncells))
     f[0] = mollified_rhs(domain, pole, 3.0 / 12).phi
-    direct, _ = solve_conormal(assemble(domain, coeffs, f=f), method="direct")
+    direct, _ = solve_conormal(assemble(ConormalOperator(domain, coeffs), f=f),
+                               method="direct")
     assert np.abs(green.G[:, 0, :] - direct.u).max() <= 1e-8 * np.abs(direct.u).max()
 
 
@@ -324,14 +327,14 @@ def test_iterations_count_preconditioner_applications(box16):
 
     op.preconditioner = lambda: spla.LinearOperator(inner.shape, matvec=counted, dtype=float)
     f = np.random.default_rng(37).standard_normal((3, domain.ncells))
-    _, report = solve_conormal(assemble(domain, coeffs, f=f, operator=op))
+    _, report = solve_conormal(assemble(op, f=f))
     assert report.iterations == applies[0] > 0
 
 
 def test_unknown_solve_method_raises(box8):
     domain, coeffs, op = box8
     with pytest.raises(ValueError):
-        solve_conormal(assemble(domain, coeffs, operator=op), method="minres")
+        solve_conormal(assemble(op), method="minres")
 
 
 # -- divergence equation -------------------------------------------------------
@@ -356,7 +359,7 @@ def test_divergence_quotient_stable(box8, box16):
     quotients = []
     for domain, _, op in (box8, box16):
         g = np.where(domain.cell_centers[:, 0] < 0.5, 1.0, -1.0)
-        sol = solve_divergence(domain, g, operator=op)
+        sol = solve_divergence(domain, g)
         assert abs(domain.h**3 * sol.u.sum(axis=1)).max() <= 1e-9
         quotients.append(sol.quotient)
     assert max(quotients) / min(quotients) <= 1.25
@@ -367,11 +370,11 @@ def test_divergence_smooth_data_reaches_tolerance(box16):
     c = domain.cell_centers
     g = np.sin(2 * np.pi * c[:, 0]) * np.cos(np.pi * c[:, 1])
     g -= g.mean()
-    sol = solve_divergence(domain, g, operator=op)
+    sol = solve_divergence(domain, g)
     gnorm = lp_norm(domain, g, 2)
     # stabilization leaves a documented high-frequency remainder; the
     # correction sweeps must still reduce it well below the first solve
-    first = solve_divergence(domain, g, operator=op, max_sweeps=1)
+    first = solve_divergence(domain, g, max_sweeps=1)
     assert sol.div_residual < 0.5 * first.div_residual
     assert sol.div_residual <= 0.05 * gnorm
 
@@ -393,24 +396,6 @@ def test_poincare_monotone_in_probe_count(box8):
     domain, _, _ = box8
     vals = [poincare_constant(domain, probes=p, seed=1) for p in (1, 3, 6, 10)]
     assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
-
-
-def test_field_export_import_roundtrip(tmp_path, box8):
-    from stokesgreen.system import export_field, import_field
-
-    domain, coeffs, op = box8
-    rng = np.random.default_rng(41)
-    f = rng.standard_normal((3, domain.ncells))
-    system = assemble(domain, coeffs, f=f, operator=op)
-    field, report = solve_conormal(system)
-    path = tmp_path / "field.bin"
-    export_field(domain, field, path)
-    back = import_field(domain, path)
-    assert np.array_equal(back.u, field.u)
-    assert np.array_equal(back.p, field.p)
-    # solve report serializes as key=value lines
-    text = report.lines()
-    assert "residual=" in text and "stab_slack=" in text
 
 
 def test_a_block_coercive_with_ellipticity_constant():
