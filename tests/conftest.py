@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, as perfbench/run.py sets: small solves run 2-2.5 times
+# slower with two, because OpenBLAS threads the level-1 calls of SciPy's
+# LGMRES.  Set before numpy loads; a value the user set wins.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 
