@@ -246,76 +246,84 @@ class ConormalOperator:
         return self.domain.h * (2.0 - 2.0 * np.cos(np.pi / nmax))
 
     def _build_prec(self):
-        """Block upper-triangular preconditioner on one DCT inverse of the
-        shifted Neumann Laplacian of the bounding box.
+        """Block upper-triangular preconditioner on the DCT basis of the
+        bounding box.
 
-        The pressure and multiplier blocks are the scaled identities
-        ``-h^3`` and ``-h^3 |Omega| / shift``; the velocity block inverts
-        the box Laplacian on all three components at once after the
-        coupling ``B p + E^T lam`` is moved to the right-hand side
-        (Elman-Silvester-Wathen, ch. 4).  The box Laplacian is separable,
-        so its inverse is applied as stacked products with the orthonormal
-        DCT-II matrices of the three axes (fast diagonalization, Lynch,
-        Rice & Thomas 1964).  Masked domains zero-extend to the box, invert
-        there and restrict (a fictitious-domain preconditioner).
+        With theta_a = pi k_a / n_a and L(k) = sum_a (2 - 2 cos theta_a),
+        the velocity block inverts the shifted Neumann Laplacian h L of the
+        box on all three components, after the coupling ``B p + E^T lam`` is
+        moved to the right-hand side.  The pressure block inverts the box
+        symbol of the Schur complement C + B^T A^-1 B,
+        ``h^3 (c_s L + sum_a sin^2 theta_a / L)`` with ``h^3`` at k = 0, and
+        the multiplier block is the scaled identity ``-h^3 |Omega| / shift``
+        (Elman-Silvester-Wathen, ch. 4).  Both inverses are diagonal in the
+        DCT-II basis, so they are applied as stacked products with the
+        orthonormal DCT-II matrices of the three axes (fast
+        diagonalization, Lynch, Rice & Thomas 1964).  Masked domains
+        zero-extend to the box, invert there and restrict (a
+        fictitious-domain preconditioner).
         """
         dom = self.domain
         h = dom.h
         shape = dom.shape
         shift = self._scalar_shift()
-        eigs = sum(
-            np.meshgrid(
-                *[
-                    h * (2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n))
-                    for n in shape
-                ],
-                indexing="ij",
-            )
-        )
-        eigs.flat[0] = shift
+        h3 = h**3
+        theta = [np.pi * np.arange(n) / n for n in shape]
+
+        def box_symbol(f):
+            # sum of 1-D symbols, broadcast into the (n1, n0, n2) layout
+            # the kernel divides in
+            f0, f1, f2 = (f(t) for t in theta)
+            return f1[:, None, None] + f0[None, :, None] + f2[None, None, :]
+
+        eigs_t = box_symbol(lambda t: h * (2.0 - 2.0 * np.cos(t)))  # h L
+        eigs_t[0, 0, 0] = shift
+        # h^3 (c_s L + sum_a sin^2 theta_a / L), and h^3 at k = 0
+        schur_t = h**2 * (self.c_s * eigs_t
+                          + h**2 * box_symbol(lambda t: np.sin(t) ** 2) / eigs_t)
+        schur_t[0, 0, 0] = h3
         Q0, Q1, Q2 = (_dct_matrix(n) for n in shape)
         Q2t = np.ascontiguousarray(Q2.T)  # a transposed view halves matmul speed
-        eigs_t = np.ascontiguousarray(eigs.transpose(1, 0, 2))
 
-        def velocity_inverse(arr):
-            # arr is (3, n0, n1, n2); every product is a stack of small
+        def box_inverse(arr, symbol):
+            # arr is (m, n0, n1, n2); every product is a stack of small
             # GEMMs, and axis 0 is reached through a strided view
             c = Q1 @ (arr @ Q2t)
             c = Q0 @ c.transpose(0, 2, 1, 3)
-            c /= eigs_t
+            c /= symbol
             c = (Q0.T @ c).transpose(0, 2, 1, 3)
             return (Q1.T @ c) @ Q2
 
-        h3 = h**3
         mult_scale = h3 * dom.volume / shift
         nc, nu = self.nc, self.nu
         B = self.B
-        box_shape = (DIM,) + shape
         if dom.mask.all():
 
-            def apply_velocity(rest, out):
-                out[:] = velocity_inverse(rest.reshape(box_shape)).ravel()
+            def apply_box(rest, out, symbol):
+                out[:] = box_inverse(rest.reshape((-1,) + shape), symbol).ravel()
 
         else:
             # one zero box per operator: only the included cells are ever
             # written, so the rest stays zero, but this preconditioner is
             # not reentrant (nothing applies it concurrently)
-            box = np.zeros(box_shape)
+            box = np.zeros((DIM,) + shape)
             flat_box = box.reshape(DIM, -1)
             cells = np.flatnonzero(dom.mask)
 
-            def apply_velocity(rest, out):
-                flat_box[:, cells] = rest.reshape(DIM, nc)
-                res = velocity_inverse(box).reshape(DIM, -1)
-                out.reshape(DIM, nc)[:] = res[:, cells]
+            def apply_box(rest, out, symbol):
+                m = rest.size // nc
+                flat_box[:m, cells] = rest.reshape(m, nc)
+                res = box_inverse(box[:m], symbol).reshape(m, -1)
+                out.reshape(m, nc)[:] = res[:, cells]
 
         def prec(x):
             out = np.empty_like(x)
-            p = out[nu : nu + nc] = -x[nu : nu + nc] / h3
+            p = out[nu : nu + nc]
+            apply_box(-x[nu : nu + nc], p, schur_t)
             lam = out[nu + nc :] = -x[nu + nc :] / mult_scale
             rest = x[:nu] - B @ p
             rest.reshape(DIM, nc)[:] -= (h3 * lam)[:, None]
-            apply_velocity(rest, out[:nu])
+            apply_box(rest, out[:nu], eigs_t)
             return out
 
         return prec
@@ -536,19 +544,22 @@ def solve_divergence(domain, g, tol=DEFAULT_TOL, div_tol=1e-8, max_sweeps=16):
     best = None
     prev = np.inf
     for sweep in range(max_sweeps):
-        field, _ = solve_conormal(assemble(op, g=g_in), tol=tol, x0=x0)
-        resid = lp_norm(domain, ops.divergence(field.u) - gv, 2)
+        x, _, _ = op.solve(assemble(op, g=g_in).rhs, tol=tol, x0=x0)
+        u = x[: op.nu].reshape(DIM, -1)
+        u -= u.mean(axis=1, keepdims=True)  # constants are in the operator kernel
+        div = ops.divergence(u)
+        resid = lp_norm(domain, div - gv, 2)
         if best is None or resid < best[0]:
-            best = (resid, field, sweep + 1)
+            best = (resid, u, sweep + 1)
         if resid <= div_tol * gnorm or resid > 0.97 * prev:  # done or stalling
             break
         prev = resid
-        g_in = g_in + (gv - ops.divergence(field.u))
-        x0 = np.concatenate([field.u.ravel(), field.p, np.zeros(DIM)])
-    resid, field, sweeps = best
-    quotient = np.sqrt(ops.grad_energy_sq(field.u)) / gnorm
+        g_in = g_in + (gv - div)
+        x0 = np.concatenate([u.ravel(), x[op.nu : op.nu + op.nc], np.zeros(DIM)])
+    resid, u, sweeps = best
+    quotient = np.sqrt(ops.grad_energy_sq(u)) / gnorm
     target = div_tol * gnorm
-    return DivergenceSolution(field.u, float(quotient), float(resid), sweeps,
+    return DivergenceSolution(u, float(quotient), float(resid), sweeps,
                               float(target), bool(resid <= target))
 
 
