@@ -193,7 +193,8 @@ def compute_green(domain, coeffs, y, eps, tol=DEFAULT_TOL, operator=None):
     Solves one conormal problem per unit direction with data
     ``f = Phi_{eps,y} e_k`` and no divergence source, on ``operator`` or,
     without one, on ``ConormalOperator(domain, coeffs)``.  Errors raised by
-    a column solve are re-raised tagged with the column index.
+    a column solve are re-raised with the column index prefixed to their
+    message and their attributes (a ``SolverError``'s residual) kept.
     """
     src = mollified_rhs(domain, y, eps)
     op = operator if operator is not None else ConormalOperator(domain, coeffs)
@@ -208,7 +209,8 @@ def compute_green(domain, coeffs, y, eps, tol=DEFAULT_TOL, operator=None):
         try:
             field, report = solve_conormal(system, tol=tol)
         except Exception as exc:
-            raise type(exc)(f"column {k + 1}: {exc}") from exc
+            exc.args = (f"column {k + 1}: {exc}",)
+            raise
         G[:, k, :] = field.u
         Pi[k] = field.p
         reports[k] = report

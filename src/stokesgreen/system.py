@@ -5,9 +5,11 @@ pressure per cell).  The viscous bilinear form is integrated with a
 per-corner quadrature of one-sided face differences, which decomposes into
 a centered-gradient term plus a jump penalty weighted by the diagonal
 coefficient blocks; the penalty inherits coercivity from the ellipticity
-constant and removes the velocity checkerboard.  For identity coefficients
-the viscous block reduces to the compact face-difference Laplacian, and
-the quadrature is exact on cellwise-linear probes.
+constant and removes the velocity checkerboard.  Each viscous block is one
+sparse product D^T W D of the stacked per-cell differences D with a matrix
+W of per-cell weights.  For identity coefficients the viscous block
+reduces to the compact face-difference Laplacian, and the quadrature is
+exact on cellwise-linear probes.
 
 The pressure-velocity coupling uses the centered divergence; the pressure
 checkerboard is controlled by a Brezzi-Pitkaranta stabilization block
@@ -111,6 +113,9 @@ class GridOperators:
             fvals = np.tile([1.0 / h, -1.0 / h], nf)
             self.dface.append(sp.coo_matrix((fvals, (frows, fcols)), shape=(nf, nc)).tocsr())
 
+        # D = [dbar_0..2; dkap_0..2] (6n x n), shared by every operator
+        self.D = sp.vstack(self.dbar + self.dkap, format="csr")
+        self.DT = self.D.T.tocsr()
         h3 = h**3
         self.lap_scalar = sum(
             (D.T * h3) @ D for D in self.dface
@@ -171,6 +176,10 @@ class ConormalOperator:
 
     Unknown layout: velocity components (3 blocks of ncells), pressure
     (ncells), then 3 Lagrange multipliers pinning the velocity means.
+    Viscous block (i, j) is ``D^T W_ij D`` with ``D = [dbar_0..2;
+    dkap_0..2]``: ``W_ij`` carries ``h^3 a^{ab}_ij`` from the ``dbar_b``
+    column to the ``dbar_a`` row and ``h^3 a^{aa}_ij`` on the ``dkap_a``
+    diagonal.  Only ``K`` keeps the viscous blocks.
     """
 
     def __init__(self, domain, coeffs, c_s=DEFAULT_STAB):
@@ -186,41 +195,36 @@ class ConormalOperator:
         h3 = h**3
         flat = domain.flat_ids
 
-        blocks = [[None] * DIM for _ in range(DIM)]
+        # (row, column) of D for each weight a^{ab}_ij; zero-weight terms are
+        # left out, so K keeps the pattern of the sum of triple products
+        cells = np.arange(nc)
+        terms = [(a, b, a, b) for a in range(DIM) for b in range(DIM)]
+        terms += [(DIM + a, DIM + a, a, a) for a in range(DIM)]
+        blocks = [[sp.csr_matrix((nc, nc)) for _ in range(DIM)] for _ in range(DIM)]
         for i in range(DIM):
             for j in range(DIM):
-                acc = None
-                for a in range(DIM):
-                    for b in range(DIM):
-                        w = coeffs.entry(a, b, i, j, flat)
-                        if not np.any(w):
-                            continue
-                        term = ops.dbar[a].T @ sp.diags(h3 * w) @ ops.dbar[b]
-                        acc = term if acc is None else acc + term
-                    wk = coeffs.entry(a, a, i, j, flat)
-                    if np.any(wk):
-                        term = ops.dkap[a].T @ sp.diags(h3 * wk) @ ops.dkap[a]
-                        acc = term if acc is None else acc + term
-                blocks[i][j] = acc if acc is not None else sp.csr_matrix((nc, nc))
-        self.A = sp.bmat(blocks, format="csr")
-        self.B = sp.vstack([h3 * D.T for D in ops.dbar], format="csr")
+                w = [(r, c, coeffs.entry(a, b, i, j, flat)) for r, c, a, b in terms]
+                w = [(h3 * v, r * nc + cells, c * nc + cells) for r, c, v in w if np.any(v)]
+                if w:
+                    vals, rows, cols = map(np.concatenate, zip(*w))
+                    W = sp.csr_matrix((vals, (rows, cols)), shape=(2 * DIM * nc,) * 2)
+                    blocks[i][j] = ops.DT @ (W @ ops.D)
+        div = [h3 * D for D in ops.dbar]
+        grad = [D.T.tocsr() for D in div]
+        E = [sp.csr_matrix((np.full(nc, h3), (np.full(nc, i), cells)), shape=(DIM, nc))
+             for i in range(DIM)]
+        self.B = sp.vstack(grad, format="csr")
         self.C = (self.c_s * h * h) * ops.lap_scalar
-        ones = np.ones(nc)
-        self.E = sp.vstack(
-            [
-                sp.csr_matrix((h3 * ones, (np.zeros(nc, int), np.arange(nc) + i * nc)), shape=(1, DIM * nc))
-                for i in range(DIM)
-            ],
-            format="csr",
-        )
+        self.E = sp.hstack(E, format="csr")
+        # with every block CSR, bmat concatenates them without a COO copy;
+        # SpGEMM leaves the column indices of a row unsorted, so sort once
         self.K = sp.bmat(
-            [
-                [self.A, self.B, self.E.T],
-                [self.B.T, -self.C, None],
-                [self.E, None, None],
-            ],
+            [blocks[i] + [grad[i], E[i].T.tocsr()] for i in range(DIM)]
+            + [div + [-self.C, sp.csr_matrix((nc, DIM))],
+               E + [sp.csr_matrix((DIM, nc)), sp.csr_matrix((DIM, DIM))]],
             format="csr",
         )
+        self.K.sort_indices()
         self.nc = nc
         self.nu = DIM * nc
         self.ntot = self.K.shape[0]

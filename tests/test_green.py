@@ -8,6 +8,7 @@ from stokesgreen.errors import (
     DomainError,
     ResolutionError,
     SeparationError,
+    SolverError,
 )
 from stokesgreen.green import (
     GreenApprox,
@@ -82,6 +83,17 @@ def test_green_invariants_hold(box16):
     assert np.all(inv["div_residuals"] <= np.maximum(1e-8, inv["stab_slack"] * 1.001))
     assert np.all(inv["col_means"] <= 1e-10 * inv["max_abs"])
     assert np.isfinite(inv["energy_envelope"])
+
+
+def test_green_column_error_keeps_solver_details(box8):
+    # 1e-17 is below what any float solve reaches
+    domain, coeffs, op = box8
+    with pytest.raises(SolverError) as info:
+        compute_green(domain, coeffs, (0.5, 0.5, 0.5), 0.25, tol=1e-17, operator=op)
+    exc = info.value
+    assert str(exc).startswith("column 1: lgmres stalled")
+    assert exc.best_residual is not None and 0.0 < exc.best_residual < 1e-12
+    assert exc.iterations is not None and exc.iterations > 0
 
 
 def test_green_near_pole_matches_normalized_stokeslet(suite, green32):

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from stokesgreen.coefficients import (
@@ -50,7 +53,7 @@ def test_identity_energy_exact_on_linear_probes():
     op = ConormalOperator(domain, coeffs)
     slopes = [(1.0, 2.0, -1.0), (0.5, 0.0, 3.0), (0.0, -2.0, 1.0)]
     u = linear_velocity(domain, slopes)
-    energy = float(u.ravel() @ (op.A @ u.ravel()))
+    energy = float(u.ravel() @ (op.K[:op.nu, :op.nu] @ u.ravel()))
     expected = sum(np.dot(b, b) for b in slopes) * domain.volume
     assert energy == pytest.approx(expected, abs=1e-10)
 
@@ -63,7 +66,7 @@ def test_general_tensor_energy_exact_on_linear_probes():
     op = ConormalOperator(domain, coeffs)
     slopes = np.array([(1.0, 2.0, -1.0), (0.5, 0.0, 3.0), (0.0, -2.0, 1.0)])
     u = linear_velocity(domain, slopes)
-    energy = float(u.ravel() @ (op.A @ u.ravel()))
+    energy = float(u.ravel() @ (op.K[:op.nu, :op.nu] @ u.ravel()))
     # D_beta u^j = slopes[j][beta] everywhere, corners included
     expected = domain.volume * np.einsum(
         "abij,jb,ia->", A, slopes, slopes
@@ -102,6 +105,76 @@ def test_adjoint_operator_is_transpose():
     diff = (op_adj.K - op.K.T).tocoo()
     scale = max(abs(op.K).max(), 1.0)
     assert (np.abs(diff.data).max() if diff.nnz else 0.0) <= 1e-12 * scale
+
+
+def triple_product_reference_K(op):
+    """K with each viscous block summed one triple product at a time,
+    ``dbar_a^T diag(h^3 a^{ab}_ij) dbar_b`` and
+    ``dkap_a^T diag(h^3 a^{aa}_ij) dkap_a``, zero-weight terms left out."""
+    ops, coeffs, flat = op.ops, op.coeffs, op.domain.flat_ids
+    nc, h3 = op.nc, op.domain.h**3
+    blocks = [[sp.csr_matrix((nc, nc)) for _ in range(3)] for _ in range(3)]
+    for i, j, a in itertools.product(range(3), repeat=3):
+        for b in range(3):
+            w = coeffs.entry(a, b, i, j, flat)
+            if np.any(w):
+                blocks[i][j] += ops.dbar[a].T @ sp.diags(h3 * w) @ ops.dbar[b]
+        w = coeffs.entry(a, a, i, j, flat)
+        if np.any(w):
+            blocks[i][j] += ops.dkap[a].T @ sp.diags(h3 * w) @ ops.dkap[a]
+    B = sp.vstack([h3 * D.T for D in ops.dbar])
+    E = sp.kron(sp.eye(3), np.full((1, nc), h3))
+    return sp.bmat([[sp.bmat(blocks), B, E.T],
+                    [B.T, -op.C, None],
+                    [E, None, None]], format="csr")
+
+
+def _full_tensor_field(domain, seed):
+    A = random_elliptic_tensor(np.random.default_rng(seed), lam=0.1)
+    return CoefficientField(domain.shape, domain.h, A[None],
+                            np.zeros(int(np.prod(domain.shape)), dtype=np.int32), 0.1)
+
+
+def _assembly_case(kind):
+    from stokesgreen.coefficients import (Frame, checkerboard, identity_tensor,
+                                          piecewise_in_direction)
+
+    box8 = build_box((1.0, 1.0, 1.0), 1.0 / 8)
+    if kind == "identity-box16":
+        domain = build_box((1.0, 1.0, 1.0), 1.0 / 16)
+        return domain, constant_identity(domain)
+    if kind == "tensor-box8":
+        return box8, _full_tensor_field(box8, 11)
+    if kind == "checkerboard":
+        return box8, checkerboard(box8, 1, 0.25, identity_tensor(1.0),
+                                  identity_tensor(0.25), 0.25)
+    if kind == "layered":
+        rng = np.random.default_rng(13)
+        profile = [(start, random_elliptic_tensor(rng, lam=0.1))
+                   for start in (-1.0, 0.3, 0.6)]
+        return box8, piecewise_in_direction(box8, profile, Frame.identity(), 0.1)
+    if kind == "lshape12":
+        domain = _l_shape(12)
+        return domain, constant_identity(domain)
+    domain = build_voxel_ball(0.4, 1.0 / 12)
+    return domain, _full_tensor_field(domain, 17)
+
+
+@pytest.mark.parametrize("kind", ["identity-box16", "tensor-box8", "checkerboard",
+                                  "layered", "lshape12", "voxel-ball"])
+def test_dtwd_assembly_matches_triple_products(kind):
+    # same pattern and nnz, values to rounding; exact on the identity box,
+    # where every sum is of dyadic numbers
+    domain, coeffs = _assembly_case(kind)
+    op = ConormalOperator(domain, coeffs)
+    ref = triple_product_reference_K(op)
+    K = op.K
+    assert K.has_sorted_indices and ref.has_sorted_indices
+    assert np.array_equal(K.indptr, ref.indptr)
+    assert np.array_equal(K.indices, ref.indices)
+    if kind == "identity-box16":
+        assert np.array_equal(K.data, ref.data)
+    assert np.abs(K.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
 
 
 # -- solves -------------------------------------------------------------------
@@ -498,7 +571,7 @@ def test_a_block_coercive_with_ellipticity_constant():
         coeffs = make_field(domain, A, lam)
         op = ConormalOperator(domain, coeffs)
         u = rng.standard_normal((3, domain.ncells))
-        energy = float(u.ravel() @ (op.A @ u.ravel()))
+        energy = float(u.ravel() @ (op.K[:op.nu, :op.nu] @ u.ravel()))
         grad_sq = op.ops.grad_energy_sq(u)
         assert energy >= lam * grad_sq - 1e-10 * grad_sq
 
@@ -511,6 +584,6 @@ def test_a_block_rayleigh_positive_on_mean_zero_probes(box16):
     for _ in range(5):
         u = rng.standard_normal((3, domain.ncells))
         u -= u.mean(axis=1, keepdims=True)
-        energy = float(u.ravel() @ (op.A @ u.ravel()))
+        energy = float(u.ravel() @ (op.K[:op.nu, :op.nu] @ u.ravel()))
         l2 = domain.h**3 * float(np.sum(u**2))
         assert energy / l2 >= floor
