@@ -29,6 +29,7 @@ from . import estimates as est
 from .acceptance import MEMORY_REQUIREMENT_MB, AcceptanceSuite, PRESET_SIZES
 from .coefficients import (
     Frame,
+    adjoint_field,
     build_coefficients,
     partial_oscillation,
     validate_ellipticity,
@@ -480,8 +481,9 @@ def verify_fixture(config):
     exports = sorted(fdir.glob("green_*.bin"))
     if not exports:
         raise ConfigError(f"fixture dir {fdir} has no green exports")
-    adjoint = ConormalOperator(domain, coeffs,
-                               stored.solver.get("c_s", DEFAULT_STAB)).adjoint()
+    adjoint = ConormalOperator(
+        domain, coeffs if coeffs.is_self_adjoint() else adjoint_field(coeffs),
+        stored.solver.get("c_s", DEFAULT_STAB))
     failures = []
     for path in exports:
         green = GreenApprox.import_file(path, domain)

@@ -179,7 +179,8 @@ class ConormalOperator:
     Viscous block (i, j) is ``D^T W_ij D`` with ``D = [dbar_0..2;
     dkap_0..2]``: ``W_ij`` carries ``h^3 a^{ab}_ij`` from the ``dbar_b``
     column to the ``dbar_a`` row and ``h^3 a^{aa}_ij`` on the ``dkap_a``
-    diagonal.  Only ``K`` keeps the viscous blocks.
+    diagonal.  Only ``K`` keeps the viscous blocks; it is stacked one CSR
+    block row at a time, so no copy of all nine blocks is kept beside it.
     """
 
     def __init__(self, domain, coeffs, c_s=DEFAULT_STAB):
@@ -200,15 +201,16 @@ class ConormalOperator:
         cells = np.arange(nc)
         terms = [(a, b, a, b) for a in range(DIM) for b in range(DIM)]
         terms += [(DIM + a, DIM + a, a, a) for a in range(DIM)]
-        blocks = [[sp.csr_matrix((nc, nc)) for _ in range(DIM)] for _ in range(DIM)]
-        for i in range(DIM):
-            for j in range(DIM):
-                w = [(r, c, coeffs.entry(a, b, i, j, flat)) for r, c, a, b in terms]
-                w = [(h3 * v, r * nc + cells, c * nc + cells) for r, c, v in w if np.any(v)]
-                if w:
-                    vals, rows, cols = map(np.concatenate, zip(*w))
-                    W = sp.csr_matrix((vals, (rows, cols)), shape=(2 * DIM * nc,) * 2)
-                    blocks[i][j] = ops.DT @ (W @ ops.D)
+
+        def block(i, j):
+            w = [(r, c, coeffs.entry(a, b, i, j, flat)) for r, c, a, b in terms]
+            w = [(h3 * v, r * nc + cells, c * nc + cells) for r, c, v in w if np.any(v)]
+            if not w:
+                return sp.csr_matrix((nc, nc))
+            vals, rows, cols = map(np.concatenate, zip(*w))
+            W = sp.csr_matrix((vals, (rows, cols)), shape=(2 * DIM * nc,) * 2)
+            return ops.DT @ (W @ ops.D)
+
         div = [h3 * D for D in ops.dbar]
         grad = [D.T.tocsr() for D in div]
         E = [sp.csr_matrix((np.full(nc, h3), (np.full(nc, i), cells)), shape=(DIM, nc))
@@ -216,15 +218,16 @@ class ConormalOperator:
         self.B = sp.vstack(grad, format="csr")
         self.C = (self.c_s * h * h) * ops.lap_scalar
         self.E = sp.hstack(E, format="csr")
-        # with every block CSR, bmat concatenates them without a COO copy;
-        # SpGEMM leaves the column indices of a row unsorted, so sort once
-        self.K = sp.bmat(
-            [blocks[i] + [grad[i], E[i].T.tocsr()] for i in range(DIM)]
-            + [div + [-self.C, sp.csr_matrix((nc, DIM))],
-               E + [sp.csr_matrix((DIM, nc)), sp.csr_matrix((DIM, DIM))]],
-            format="csr",
-        )
-        self.K.sort_indices()
+        # stack K one CSR block row at a time, so only one row's viscous
+        # blocks live next to the finished rows; SpGEMM leaves the columns
+        # of a row unsorted, so sort each row block before the last stack
+        rows = [sp.hstack([block(i, j) for j in range(DIM)] + [grad[i], E[i].T.tocsr()],
+                          format="csr") for i in range(DIM)]
+        rows += [sp.hstack(div + [-self.C, sp.csr_matrix((nc, DIM))], format="csr"),
+                 sp.hstack(E + [sp.csr_matrix((DIM, nc + DIM))], format="csr")]
+        for row in rows:
+            row.sort_indices()
+        self.K = sp.vstack(rows, format="csr")
         self.nc = nc
         self.nu = DIM * nc
         self.ntot = self.K.shape[0]
@@ -318,7 +321,7 @@ class ConormalOperator:
                 m = rest.size // nc
                 flat_box[:m, cells] = rest.reshape(m, nc)
                 res = box_inverse(box[:m], symbol).reshape(m, -1)
-                out.reshape(m, nc)[:] = res[:, cells]
+                np.take(res, cells, axis=1, out=out.reshape(m, nc))
 
         def prec(x):
             out = np.empty_like(x)

@@ -17,7 +17,10 @@ from stokesgreen.cli import (
     run_experiment,
     verify,
 )
+from stokesgreen.coefficients import CoefficientField, adjoint_field
 from stokesgreen.errors import ConfigError
+
+from conftest import random_elliptic_tensor
 
 DATA = Path(__file__).parent / "data"
 BASE = {
@@ -161,6 +164,31 @@ def test_export_and_fixture_verify_and_tamper(tmp_path):
     data[:, :9] *= 2.0
     exports[0].write_bytes(data.tobytes())
     assert verify(cfg) == 1
+
+
+def test_nonsymmetric_fixture_verify_assembles_only_the_adjoint(tmp_path, monkeypatch):
+    tensor = random_elliptic_tensor(np.random.default_rng(3))
+    field = CoefficientField((8, 8, 8), 0.125, tensor[None], np.zeros(512, dtype=np.int32),
+                             0.25)
+    assert not field.is_self_adjoint()
+    field.export(tmp_path / "coeffs.bin")
+    out = tmp_path / "fix"
+    path = _write_export_config(tmp_path, out)
+    raw = json.loads(path.read_text())
+    raw["coefficients"] = {"kind": "file", "path": str(tmp_path / "coeffs.bin")}
+    path.write_text(json.dumps(raw))
+    assert main(["export", "--config", str(path)]) == 0
+
+    built = []
+
+    def counted(domain, coeffs, c_s):
+        built.append(coeffs)
+        return system.ConormalOperator(domain, coeffs, c_s)
+
+    monkeypatch.setattr(cli, "ConormalOperator", counted)
+    assert verify(make_config(tmp_path, fixture_dir=str(out))) == 0
+    assert len(built) == 1
+    assert np.array_equal(built[0].tensors, adjoint_field(field).tensors[field.index])
 
 
 def _write_export_config(tmp_path, out):

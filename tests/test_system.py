@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from stokesgreen.green import compute_green, mollified_rhs
 from stokesgreen.system import (
     ConormalOperator,
     assemble,
+    grid_operators,
     lp_norm,
     poincare_constant,
     solve_conormal,
@@ -175,6 +177,25 @@ def test_dtwd_assembly_matches_triple_products(kind):
     if kind == "identity-box16":
         assert np.array_equal(K.data, ref.data)
     assert np.abs(K.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+
+
+def test_assembly_peak_memory_stays_below_three_copies_of_K():
+    # K is stacked one block row at a time, so its construction (grid
+    # operators already built) peaks at 2.2 copies of K; holding all nine
+    # viscous blocks beside their stacked rows reaches 3.7
+    domain = build_box((1.0, 1.0, 1.0), 1.0 / 16)
+    coeffs = _full_tensor_field(domain, 5)
+    grid_operators(domain)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        op = ConormalOperator(domain, coeffs)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    K = op.K
+    assert K.has_canonical_format
+    assert peak <= 2.75 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
 
 
 # -- solves -------------------------------------------------------------------
