@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from . import estimates as est
-from .acceptance import MEMORY_REQUIREMENT_MB, AcceptanceSuite, PRESET_SIZES
+from .acceptance import MEMORY_REQUIREMENT_MB, AcceptanceSuite, PRESET_SIZES, peak_rss_mb
 from .coefficients import (
     Frame,
     adjoint_field,
@@ -352,6 +352,7 @@ class Pipeline:
             "config_digest": config.digest(),
             "seed": config.seed,
             "stages": {},
+            "stage_peak_rss_mb": {},  # process peak when each stage ended
             "status": "incomplete",
         }
         self._greens = {}
@@ -363,6 +364,7 @@ class Pipeline:
         t0 = time.time()
         out = fn()
         self.manifest["stages"][name] = round(time.time() - t0, 3)
+        self.manifest["stage_peak_rss_mb"][name] = peak_rss_mb()
         return out
 
     def build(self):
@@ -446,9 +448,7 @@ def run_experiment(config):
     try:
         pipe.build()
         for eid in config.estimates:
-            t0 = time.time()
-            pipe.reports.extend(pipe.run_estimate(eid))
-            pipe.manifest["stages"][f"estimate:{eid}"] = round(time.time() - t0, 3)
+            pipe.reports.extend(pipe._stage(f"estimate:{eid}", lambda: pipe.run_estimate(eid)))
         pipe.export_artifacts()
     except SolverError as exc:
         pipe.manifest["error"] = f"solver failure: {exc}"
@@ -532,7 +532,8 @@ def verify(config):
         "version": __version__,
         "preset": preset,
         "config_digest": config.digest(),
-        "criteria": {r.cid: {"passed": bool(r.passed), "seconds": round(r.seconds, 2)}
+        "criteria": {r.cid: {"passed": bool(r.passed), "seconds": round(r.seconds, 2),
+                             "peak_rss_mb": r.peak_rss_mb}
                      for r in results},
         "status": "ok" if all(r.passed for r in results) else "criterion-failures",
     }

@@ -21,11 +21,14 @@ component.
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import get_blas_funcs, lstsq
 
 from .coefficients import adjoint_field
 from .errors import CompatibilityError, GeometryError, SolverError
@@ -34,6 +37,11 @@ DIM = 3
 DEFAULT_TOL = 1e-9
 DEFAULT_STAB = 0.1
 COMPAT_REL = 1e-10
+# LGMRES: Krylov steps per cycle and augmentation pairs carried over
+INNER_M = 40
+OUTER_K = 3
+EPS = np.finfo(float).eps
+_axpy, _dot, _nrm2 = get_blas_funcs(("axpy", "dot", "nrm2"), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +128,20 @@ class GridOperators:
         self.lap_scalar = sum(
             (D.T * h3) @ D for D in self.dface
         ).tocsr()  # (grad p, grad q) on cells
+        self._krylov = None
+
+    def krylov_workspace(self):
+        """The LGMRES workspace of every operator on this domain (each has
+        4 ncells + 3 unknowns), made at the first solve: the Arnoldi basis
+        (``INNER_M + OUTER_K + 1`` rows), then the augmentation vectors z
+        and M K z (``OUTER_K + 1`` rows each), views of one array.  Pages
+        are touched only as solves reach a row.  Not reentrant: nothing
+        solves on one domain concurrently."""
+        if self._krylov is None:
+            nv = INNER_M + OUTER_K + 1
+            work = np.empty((nv + 2 * (OUTER_K + 1), (DIM + 1) * self.domain.ncells + DIM))
+            self._krylov = (work[:nv], work[nv : nv + OUTER_K + 1], work[nv + OUTER_K + 1 :])
+        return self._krylov
 
     def gradient(self, values):
         """Centered per-cell gradient of a cellwise scalar, shape (3, n)."""
@@ -232,7 +254,6 @@ class ConormalOperator:
         self.nu = DIM * nc
         self.ntot = self.K.shape[0]
         self._prec = None
-        self._lu = None
         self._adjoint = None
 
     def adjoint(self):
@@ -344,55 +365,164 @@ class ConormalOperator:
 
     # -- solves -----------------------------------------------------------
 
-    def solve_direct(self, rhs):
-        if self._lu is None:
-            self._lu = spla.splu(self.K.tocsc())
-        return self._lu.solve(rhs)
-
-    def solve(self, rhs, tol=DEFAULT_TOL, max_iter=None, x0=None, method="auto"):
+    def solve(self, rhs, tol=DEFAULT_TOL, max_iter=None, x0=None):
         """Solve K x = rhs to a true relative residual below tol.
 
-        ``method`` is "auto" (preconditioned LGMRES, for every operator) or
-        "direct" (sparse LU).  Iterations are preconditioner applications;
-        ``max_iter`` bounds them.  Returns (x, iterations, residual).
-        Raises SolverError on non-convergence, carrying the residual
-        reached.
+        Left-preconditioned LGMRES (Baker, Jessup & Manteuffel, SIAM J.
+        Matrix Anal. Appl. 26, 2005), step for step as SciPy's ``lgmres``
+        with ``inner_m = min(40, max_iter - 1)`` and ``outer_k = 3``.  The
+        true residual is checked at each outer-cycle start; the outer
+        budget is ``max_iter // (inner_m + 1)`` cycles.  K and the
+        preconditioner are applied only through ``self.K`` and
+        ``self.preconditioner()``.  Iterations are preconditioner
+        applications.  Returns ``(x, info)``; ``info`` holds
+        ``iterations``, ``residual`` (the last cycle-start residual, so no
+        matvec recomputes it), ``history`` (the true relative residual at
+        each cycle start), ``cycles`` and the matvec and preconditioner
+        counts and seconds.  Raises SolverError on non-convergence,
+        carrying the residual reached.
         """
-        if method not in ("auto", "direct"):
-            raise ValueError(f"unknown solve method {method!r}")
+        info = {"iterations": 0, "prec_s": 0.0, "matvecs": 0, "matvec_s": 0.0,
+                "cycles": 0, "history": []}
         bnorm = np.linalg.norm(rhs)
         if bnorm == 0:
-            return np.zeros(self.ntot), 0, 0.0
-        if method == "direct":
-            x = self.solve_direct(rhs)
-            res = np.linalg.norm(self.K @ x - rhs) / bnorm
-            return x, 1, float(res)
-
+            info.update(residual=0.0, history=[0.0])
+            return np.zeros(self.ntot), info
         if max_iter is None:
             max_iter = 40 * int(np.cbrt(self.nc)) + 400
-        M = self.preconditioner()
-        count = [0]
-
-        def counted(v):
-            count[0] += 1
-            return M @ v
-
         # one outer cycle applies M at most inner_m + 1 times
-        inner_m = min(40, max(max_iter - 1, 1))
-        x, _ = spla.lgmres(
-            self.K, rhs, x0=x0, rtol=tol, atol=0.0, inner_m=inner_m,
-            maxiter=max(max_iter // (inner_m + 1), 1),
-            M=spla.LinearOperator(M.shape, matvec=counted, dtype=float),
-        )
-        res = float(np.linalg.norm(self.K @ x - rhs) / bnorm)
-        if res > tol:
+        inner_m = min(INNER_M, max(max_iter - 1, 1))
+        max_cycles = max(max_iter // (inner_m + 1), 1)
+        K, M = self.K, self.preconditioner()
+
+        def matvec(v):
+            t0 = time.perf_counter()
+            out = K @ v
+            info["matvec_s"] += time.perf_counter() - t0
+            info["matvecs"] += 1
+            return out
+
+        def psolve(v):
+            t0 = time.perf_counter()
+            out = M.matvec(v)
+            info["prec_s"] += time.perf_counter() - t0
+            info["iterations"] += 1
+            return out
+
+        workspace = self.ops.krylov_workspace()
+        x = np.zeros(self.ntot) if x0 is None else np.array(x0, dtype=float)
+        history = info["history"]
+        kept = []  # workspace slots of the augmentation pairs, oldest first
+        ptol_max = 1.0
+        for k in range(max_cycles + 1):
+            if k == 0 and x0 is None:
+                r = -rhs  # K 0 - rhs, without the matvec
+            else:
+                r = matvec(x)
+                r -= rhs
+            rnorm = np.linalg.norm(r)
+            history.append(float(rnorm / bnorm))
+            if rnorm <= tol * bnorm or k == max_cycles:
+                break
+            info["cycles"] += 1
+            w = psolve(r)
+            del r
+            beta = _nrm2(w)
+            if beta == 0:
+                raise SolverError("preconditioner returned a zero vector",
+                                  best_residual=history[-1], iterations=info["iterations"])
+            np.multiply(w, -1.0 / beta, out=workspace[0][0])
+            del w  # only x and the workspace stay alive through the cycle
+            ptol = min(ptol_max, tol * bnorm / rnorm)
+            res = _lgmres_cycle(x, beta, ptol, workspace, kept, inner_m, matvec, psolve)
+            if res is None:  # overflow or NaN: x keeps its checked residual
+                break
+            # the adaptive inner tolerance of SciPy's lgmres
+            ptol_max = min(1.0, 1.5 * ptol_max) if res > ptol else max(1e-16, 0.25 * ptol_max)
+        info["residual"] = residual = history[-1]
+        if not residual <= tol:  # a NaN residual fails too
             raise SolverError(
-                f"lgmres stalled at relative residual {res:.3e} "
-                f"(target {tol:.1e}) after {count[0]} preconditioner applications",
-                best_residual=res,
-                iterations=count[0],
+                f"lgmres stalled at relative residual {residual:.3e} "
+                f"(target {tol:.1e}) after {info['iterations']} preconditioner applications",
+                best_residual=residual,
+                iterations=info["iterations"],
             )
-        return x, count[0], res
+        return x, info
+
+
+def _lgmres_cycle(x, beta, ptol, workspace, kept, inner_m, matvec, psolve):
+    """One inner GMRES cycle of LGMRES from ``V[0]``, the unit preconditioned
+    residual of norm ``beta``.  Adds the correction dx to x and returns the
+    inner residual reached (relative to beta), or None if it is not finite.
+
+    ``workspace`` is ``(V, Z, MKZ)``: the Arnoldi basis, and the
+    augmentation pairs (dx, M K dx) / |dx| of the last ``OUTER_K`` cycles in
+    the slots listed oldest first in ``kept``, plus one spare slot.  The
+    basis is orthogonalized by modified Gram-Schmidt, one BLAS dot and axpy
+    per row; the least-squares problem is updated by Givens rotations.
+    """
+    V, Z, MKZ = workspace
+    m = inner_m + len(kept)
+    H = np.zeros((m + 1, m))  # the Hessenberg matrix, kept for M K dx
+    R = np.zeros((m, m))  # its triangular factor under the rotations
+    g = np.zeros(m + 1)  # the rotated first unit vector
+    g[0] = 1.0
+    rot = []
+    for j in range(m):
+        if j < inner_m:
+            w = psolve(matvec(V[j]))
+        else:  # the augmentation vectors follow the Krylov vectors
+            w = V[j + 1]
+            w[:] = MKZ[kept[j - inner_m]]
+        wnorm = _nrm2(w)
+        h = H[: j + 2, j]
+        for i in range(j + 1):
+            h[i] = _dot(V[i], w)
+            _axpy(V[i], w, a=-h[i])
+        h[j + 1] = _nrm2(w)
+        # w is (numerically) in the span of the basis, or not finite
+        breakdown = not h[j + 1] > EPS * wnorm
+        with np.errstate(over="ignore", divide="ignore"):
+            alpha = 1.0 / h[j + 1]
+        if np.isfinite(alpha):
+            np.multiply(w, alpha, out=V[j + 1])
+        else:
+            V[j + 1] = w
+        del w  # so the next step's applications are the only temporaries
+        col = h.tolist()
+        for i, (c, s) in enumerate(rot):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        d = math.hypot(col[j], col[j + 1])
+        c, s = (col[j] / d, col[j + 1] / d) if d else (1.0, 0.0)
+        rot.append((c, s))
+        col[j] = d
+        R[: j + 1, j] = col[: j + 1]
+        g[j + 1], g[j] = -s * g[j], c * g[j]
+        res = abs(g[j + 1])
+        if res < ptol or breakdown:
+            break
+    k = j + 1
+    if not np.isfinite(R[j, j]):
+        return None
+    # lstsq, as SciPy: R may be singular after a breakdown
+    y = lstsq(R[:k, :k], g[:k], check_finite=False)[0] * beta
+    if not np.isfinite(y).all():
+        return None
+    nk = min(k, inner_m)
+    free = next(slot for slot in range(len(Z)) if slot not in kept)
+    dx = Z[free]
+    np.dot(y[:nk], V[:nk], out=dx)
+    for slot, c in zip(kept, y[nk:]):
+        _axpy(Z[slot], dx, a=c)
+    x += dx
+    nx = _nrm2(dx)
+    if nx > 0:
+        np.dot(H[: k + 1, :k] @ y, V[: k + 1], out=MKZ[free])
+        dx /= nx
+        MKZ[free] /= nx
+        kept.append(free)
+        del kept[:-OUTER_K]
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +539,21 @@ class Field:
 
 @dataclass
 class SolveReport:
-    iterations: int
-    residual: float
+    iterations: int  # preconditioner applications
+    residual: float  # true relative residual of the returned solution
     grad_norm: float
     p_norm: float
     energy_quotient: float | None
     stab_slack: float
     method: str
+    # the Krylov run: true relative residual at each outer-cycle start (the
+    # last is ``residual``), outer cycles, K matvecs and the seconds spent
+    # in K and in the preconditioner
+    history: list = dc_field(default_factory=list)
+    cycles: int = 0
+    matvecs: int = 0
+    matvec_s: float = 0.0
+    prec_s: float = 0.0
 
 
 @dataclass
@@ -490,10 +628,10 @@ def assemble(op, f=None, f_alpha=None, g=None):
     )
 
 
-def solve_conormal(system, tol=DEFAULT_TOL, max_iter=None, x0=None, method="auto"):
+def solve_conormal(system, tol=DEFAULT_TOL, max_iter=None, x0=None):
     """Solve the assembled conormal problem; returns (Field, SolveReport)."""
     op = system.operator
-    x, iters, res = op.solve(system.rhs, tol=tol, max_iter=max_iter, x0=x0, method=method)
+    x, info = op.solve(system.rhs, tol=tol, max_iter=max_iter, x0=x0)
     nc = op.nc
     u = x[: op.nu].reshape(DIM, nc).copy()
     p = x[op.nu : op.nu + nc].copy()
@@ -505,13 +643,12 @@ def solve_conormal(system, tol=DEFAULT_TOL, max_iter=None, x0=None, method="auto
     denom = sum(system.data_norms.values())
     quotient = (grad + pn) / denom if denom > 0 else None
     report = SolveReport(
-        iterations=iters,
-        residual=res,
         grad_norm=grad,
         p_norm=pn,
         energy_quotient=quotient,
         stab_slack=slack,
-        method="lgmres" if method == "auto" else method,
+        method="lgmres",
+        **info,
     )
     return Field(u=u, p=p), report
 
@@ -551,7 +688,7 @@ def solve_divergence(domain, g, tol=DEFAULT_TOL, div_tol=1e-8, max_sweeps=16):
     best = None
     prev = np.inf
     for sweep in range(max_sweeps):
-        x, _, _ = op.solve(assemble(op, g=g_in).rhs, tol=tol, x0=x0)
+        x, _ = op.solve(assemble(op, g=g_in).rhs, tol=tol, x0=x0)
         u = x[: op.nu].reshape(DIM, -1)
         u -= u.mean(axis=1, keepdims=True)  # constants are in the operator kernel
         div = ops.divergence(u)

@@ -41,6 +41,16 @@ def green32(suite):
     return suite.green(32, suite.center_pole(32), 2.0 / 32)
 
 
+def direct_velocity(op, rhs):
+    """Mean-zero velocity of K x = rhs by sparse LU, a reference for the
+    iterative solve."""
+    import scipy.sparse.linalg as spla
+
+    x = spla.spsolve(op.K.tocsc(), rhs)
+    u = x[: op.nu].reshape(3, -1)
+    return u - u.mean(axis=1, keepdims=True)
+
+
 def random_elliptic_tensor(rng, lam=0.25):
     """A random tensor satisfying the ellipticity pair for the given lam."""
     A = 0.3 * rng.standard_normal((3, 3, 3, 3))

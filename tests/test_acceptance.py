@@ -101,6 +101,22 @@ def test_c08_symmetry_and_averaging(suite):
     assert r.passed
 
 
+def test_c08_grids_resolve_its_mollifier_in_every_preset():
+    # C08 needs 2h <= eps = 0.125 on both of its grids, whatever the preset
+    from stokesgreen.acceptance import (C08_EPS, C08_GRIDS, C08_POLES,
+                                        CRITERIA_BY_PRESET, AcceptanceSuite)
+    from stokesgreen.green import mollified_rhs
+
+    assert C08_GRIDS == (16, 32) and C08_EPS == 0.125
+    for preset in CRITERIA_BY_PRESET:
+        suite = AcceptanceSuite(preset=preset)
+        for n in C08_GRIDS:
+            domain = suite.domain(n)
+            assert 2 * domain.h <= C08_EPS
+            for pole in C08_POLES:
+                assert mollified_rhs(domain, pole, C08_EPS).phi.any()
+
+
 def test_c09_representation(suite):
     r = report(suite.c09_representation())
     assert r.details["avg_error_16"] <= r.details["threshold"]

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stokesgreen import cli, system
+from stokesgreen import acceptance, cli, system
 from stokesgreen.acceptance import AcceptanceSuite, CriterionResult
 from stokesgreen.cli import (
     ESTIMATES,
@@ -101,6 +101,24 @@ def test_empty_estimate_selection_writes_manifest_only(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "ok"
     assert not (out / "reports.csv").exists()
+
+
+def test_manifests_record_stage_peak_rss(tmp_path, monkeypatch):
+    cfg = make_config(tmp_path, estimates=["poincare", "oscillation"])
+    assert run_experiment(cfg) == 0
+    manifest = json.loads((Path(cfg.out) / "manifest.json").read_text())
+    peaks = manifest["stage_peak_rss_mb"]
+    assert list(peaks) == list(manifest["stages"]) == [
+        "domain", "coefficients", "assemble", "estimate:poincare", "estimate:oscillation"]
+    # the process peak so far, so it never falls from stage to stage
+    assert 0 < peaks["domain"] and list(peaks.values()) == sorted(peaks.values())
+    result = CriterionResult("C13", "exterior measure density", True, {})
+    monkeypatch.setattr(AcceptanceSuite, "c13_exterior_density", lambda self: result)
+    vcfg = make_config(tmp_path, preset="smoke", out=str(tmp_path / "verify"))
+    monkeypatch.setitem(acceptance.CRITERIA_BY_PRESET, "smoke", ["C13"])
+    assert verify(vcfg) == 0
+    vmanifest = json.loads((tmp_path / "verify" / "verify_manifest.json").read_text())
+    assert vmanifest["criteria"]["C13"]["peak_rss_mb"] >= max(peaks.values())
 
 
 def test_small_run_exit_zero_and_deterministic(tmp_path):

@@ -24,7 +24,7 @@ from stokesgreen.system import (
     solve_divergence,
 )
 
-from conftest import random_elliptic_tensor
+from conftest import direct_velocity, random_elliptic_tensor
 
 
 def make_field(domain, tensor, lam):
@@ -337,13 +337,25 @@ def test_solver_failure_carries_best_residual(box16):
     assert err.value.best_residual > 1e-9
 
 
-def test_direct_method_available(box8):
+def test_non_finite_data_raises_solver_error(box8):
+    # a NaN residual compares false with the target; it must not pass
+    domain, coeffs, op = box8
+    rhs = assemble(op, f=np.ones((3, domain.ncells))).rhs
+    rhs[5] = np.nan
+    with pytest.raises(SolverError) as err:
+        op.solve(rhs)
+    assert np.isnan(err.value.best_residual)
+
+
+def test_solve_matches_sparse_direct_reference(box8):
     domain, coeffs, op = box8
     rng = np.random.default_rng(29)
     f = rng.standard_normal((3, domain.ncells))
     system = assemble(op, f=f)
-    field, report = solve_conormal(system, method="direct")
+    field, report = solve_conormal(system)
     assert report.residual <= 1e-9
+    direct = direct_velocity(op, system.rhs)
+    assert np.abs(field.u - direct).max() <= 1e-8 * np.abs(direct).max()
 
 
 def _l_shape(n):
@@ -472,11 +484,11 @@ def test_unstabilized_divergence_solve_meets_target():
         domain = build_box((1.0, 1.0, 1.0), 1.0 / n)
         g = np.where(domain.cell_centers[:, 0] < 0.5, 1.0, -1.0)
         op = ConormalOperator(domain, constant_identity(domain), c_s=0)
-        x, iters, res = op.solve(assemble(op, g=g).rhs, tol=1e-9)
-        assert res <= 1e-9
+        x, info = op.solve(assemble(op, g=g).rhs, tol=1e-9)
+        assert info["residual"] <= 1e-9
         div = op.ops.divergence(x[: op.nu].reshape(3, -1))
         assert lp_norm(domain, div - g, 2) <= 1e-8 * lp_norm(domain, g, 2)
-    assert iters <= 100  # at 16^3
+    assert info["iterations"] <= 100  # at 16^3
 
 
 def test_checkerboard_column_matches_direct():
@@ -494,9 +506,9 @@ def test_checkerboard_column_matches_direct():
     assert all(r.residual <= 1e-9 for r in green.reports)
     f = np.zeros((3, domain.ncells))
     f[0] = mollified_rhs(domain, pole, 3.0 / 12).phi
-    direct, _ = solve_conormal(assemble(ConormalOperator(domain, coeffs), f=f),
-                               method="direct")
-    assert np.abs(green.G[:, 0, :] - direct.u).max() <= 1e-8 * np.abs(direct.u).max()
+    op = ConormalOperator(domain, coeffs)
+    direct = direct_velocity(op, assemble(op, f=f).rhs)
+    assert np.abs(green.G[:, 0, :] - direct).max() <= 1e-8 * np.abs(direct).max()
 
 
 def test_iterations_count_preconditioner_applications(box16):
@@ -515,10 +527,123 @@ def test_iterations_count_preconditioner_applications(box16):
     assert report.iterations == applies[0] > 0
 
 
-def test_unknown_solve_method_raises(box8):
-    domain, coeffs, op = box8
-    with pytest.raises(ValueError):
-        solve_conormal(assemble(op), method="minres")
+def test_solve_report_records_krylov_history(box16):
+    domain, coeffs, _ = box16
+    f = np.zeros((3, domain.ncells))
+    f[0] = mollified_rhs(domain, (0.5, 0.5, 0.5), 2.0 / 16).phi
+    op = ConormalOperator(domain, coeffs)
+    K = op.K
+    applied = [0]
+
+    def counted(v):
+        applied[0] += 1
+        return K @ v
+
+    op.K = spla.LinearOperator(K.shape, matvec=counted, dtype=float)
+    _, report = solve_conormal(assemble(op, f=f))
+    assert report.history[-1] == report.residual <= 1e-9
+    assert report.history[0] == 1.0  # x0 = 0: the residual is the data
+    assert all(r > 1e-9 for r in report.history[:-1])
+    assert len(report.history) == report.cycles + 1 >= 2
+    # x0 = 0 needs no first matvec, and the last residual is not recomputed,
+    # so each preconditioner application has exactly one K application
+    assert report.matvecs == applied[0] == report.iterations > 0
+    assert report.iterations <= report.cycles * 41
+    assert report.matvec_s > 0 and report.prec_s > 0
+    applied[0] = 0
+    _, again = solve_conormal(assemble(op, f=f), x0=np.zeros(op.ntot))
+    assert again.matvecs == applied[0] == again.iterations + 1
+    assert again.history == report.history
+
+
+def _lgmres_reference(op, rhs, tol=1e-9):
+    """SciPy's lgmres with the arguments of ``ConormalOperator.solve``,
+    and its preconditioner applications."""
+    inner = op.preconditioner()
+    applies = [0]
+
+    def counted(v):
+        applies[0] += 1
+        return inner @ v
+
+    max_iter = 40 * int(np.cbrt(op.nc)) + 400
+    inner_m = min(40, max_iter - 1)
+    x, _ = spla.lgmres(op.K, rhs, rtol=tol, atol=0.0, inner_m=inner_m, outer_k=3,
+                       maxiter=max_iter // (inner_m + 1),
+                       M=spla.LinearOperator(inner.shape, matvec=counted, dtype=float))
+    return x, applies[0]
+
+
+@pytest.mark.parametrize("case", ["box16", "lshape12", "nonsym12", "divergence24"])
+def test_lgmres_matches_scipy_reference(case, monkeypatch):
+    # divergence24 (c_s = 0) runs five outer cycles, so the augmentation
+    # vectors enter the Arnoldi process; the cycles start with 0, 1, 2, 3
+    # and 3 of them, the last OUTER_K
+    import stokesgreen.system as system
+
+    carried = []
+    cycle = system._lgmres_cycle
+
+    def recording(x, beta, ptol, workspace, kept, *args):
+        carried.append(len(set(kept)))
+        return cycle(x, beta, ptol, workspace, kept, *args)
+
+    monkeypatch.setattr(system, "_lgmres_cycle", recording)
+    n = {"box16": 16, "divergence24": 24}.get(case, 12)
+    domain = _l_shape(n) if case == "lshape12" else build_box((1.0, 1.0, 1.0), 1.0 / n)
+    if case == "nonsym12":
+        coeffs = make_field(domain, random_elliptic_tensor(np.random.default_rng(0)), 0.25)
+        assert not coeffs.is_self_adjoint()
+    else:
+        coeffs = constant_identity(domain)
+    op = ConormalOperator(domain, coeffs, c_s=0 if case == "divergence24" else 0.1)
+    if case == "divergence24":
+        rhs = assemble(op, g=np.where(domain.cell_centers[:, 0] < 0.5, 1.0, -1.0)).rhs
+    else:
+        f = np.zeros((3, domain.ncells))
+        f[0] = mollified_rhs(domain, (0.3, 0.3, 0.3), 3.0 / n).phi
+        rhs = assemble(op, f=f).rhs
+    want, applies = _lgmres_reference(op, rhs)
+    got, info = op.solve(rhs)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert info["iterations"] == applies
+    if case == "divergence24":
+        assert carried == [0, 1, 2, 3, 3]
+
+
+def test_repeat_solve_allocates_no_krylov_basis(box16, monkeypatch):
+    # the basis lives in one workspace per domain, so a repeat solve
+    # allocates only x beyond the temporaries of one K and one
+    # preconditioner application (SciPy's lgmres allocated ~25 vectors)
+    domain, coeffs, op = box16
+    f = np.zeros((3, domain.ncells))
+    f[0] = mollified_rhs(domain, (0.5, 0.5, 0.5), 2.0 / 16).phi
+    rhs = assemble(op, f=f).rhs
+    op.solve(rhs)
+    P, v, vector = op.preconditioner(), np.ones(op.ntot), 8 * op.ntot
+    tracemalloc.start()
+    try:
+        P @ (op.K @ v)
+        _, step = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        op.solve(rhs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start - step < 2 * vector
+    # solve_divergence's own operator solves in the same buffer
+    work = op.ops.krylov_workspace()
+    used = []
+    original = ConormalOperator.solve
+
+    def recording(self, *args, **kwargs):
+        used.append(self.ops.krylov_workspace())
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConormalOperator, "solve", recording)
+    solve_divergence(domain, np.where(domain.cell_centers[:, 0] < 0.5, 1.0, -1.0))
+    assert used and all(ws is work for ws in used)
 
 
 # -- divergence equation -------------------------------------------------------
