@@ -40,6 +40,7 @@ from .system import (  # noqa: F401
     SolveReport,
     assemble,
     poincare_constant,
+    shared_operator,
     solve_conormal,
     solve_divergence,
 )

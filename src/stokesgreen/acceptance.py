@@ -41,9 +41,9 @@ from .green import (
 )
 from .system import (
     DEFAULT_TOL,
-    ConormalOperator,
     assemble,
     lp_norm,
+    shared_operator,
     solve_conormal,
     solve_divergence,
 )
@@ -52,9 +52,10 @@ PRESET_SIZES = {"smoke": 16, "standard": 24, "deep": 32}
 # Resident-set need of each preset, used by the graceful memory skip: the
 # peak RSS of `stokesgreen verify --preset P` in a fresh process (getrusage
 # of the child; numpy 2.4, scipy 1.17, 2-core x86-64 Linux) plus 25%,
-# rounded up to 10 MB.  Measured: smoke 235 MB, standard 315 MB, deep
-# 298 MB; C10 assembles a 32^3 operator in every preset, and each domain
-# keeps the Krylov basis its solves have touched.
+# rounded up to 10 MB.  Measured: smoke 238 MB, standard 313 MB, deep
+# 297 MB, each reached in C12 (its 64^3 fields).  C10 borrows the suite's
+# 32^3 identity operator in standard and deep and assembles its own only in
+# smoke; each domain keeps the Krylov basis its solves have touched.
 MEMORY_REQUIREMENT_MB = {"smoke": 300, "standard": 400, "deep": 380}
 
 # C08 is defined at h = 1/16 and h = 1/32 in every preset: its mollifier
@@ -116,7 +117,7 @@ class AcceptanceSuite:
     def operator(self, n):
         if n not in self._operators:
             dom = self.domain(n)
-            self._operators[n] = ConormalOperator(dom, constant_identity(dom))
+            self._operators[n] = shared_operator(dom, constant_identity(dom))
         return self._operators[n]
 
     def green(self, n, pole, eps):

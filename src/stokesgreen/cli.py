@@ -50,6 +50,7 @@ from .system import (
     DEFAULT_TOL,
     ConormalOperator,
     poincare_constant,
+    shared_operator,
     solve_divergence,
 )
 
@@ -380,8 +381,8 @@ class Pipeline:
             )
         self.operator = self._stage(
             "assemble",
-            lambda: ConormalOperator(self.domain, self.coeffs,
-                                     cfg.solver.get("c_s", DEFAULT_STAB)),
+            lambda: shared_operator(self.domain, self.coeffs,
+                                    cfg.solver.get("c_s", DEFAULT_STAB)),
         )
         if cfg.poles in ("auto", "auto-boundary"):
             kinds = ("boundary",) if cfg.poles == "auto-boundary" else (
@@ -481,6 +482,8 @@ def verify_fixture(config):
     exports = sorted(fdir.glob("green_*.bin"))
     if not exports:
         raise ConfigError(f"fixture dir {fdir} has no green exports")
+    # assembled from the adjoint coefficients, not transposed: the check
+    # then rests on an assembly independent of the run that exported
     adjoint = ConormalOperator(
         domain, coeffs if coeffs.is_self_adjoint() else adjoint_field(coeffs),
         stored.solver.get("c_s", DEFAULT_STAB))

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import adjoint_field
 from .errors import (
     CompatibilityError,
     DomainError,
@@ -29,11 +28,11 @@ from .errors import (
 from .system import (
     DEFAULT_TOL,
     DIM,
-    ConormalOperator,
     SolveReport,
     assemble,
     grid_operators,
     lp_norm,
+    shared_operator,
     solve_conormal,
 )
 
@@ -192,12 +191,12 @@ def compute_green(domain, coeffs, y, eps, tol=DEFAULT_TOL, operator=None):
 
     Solves one conormal problem per unit direction with data
     ``f = Phi_{eps,y} e_k`` and no divergence source, on ``operator`` or,
-    without one, on ``ConormalOperator(domain, coeffs)``.  Errors raised by
+    without one, on ``shared_operator(domain, coeffs)``.  Errors raised by
     a column solve are re-raised with the column index prefixed to their
     message and their attributes (a ``SolverError``'s residual) kept.
     """
     src = mollified_rhs(domain, y, eps)
-    op = operator if operator is not None else ConormalOperator(domain, coeffs)
+    op = operator if operator is not None else shared_operator(domain, coeffs)
     nc = domain.ncells
     G = np.zeros((DIM, DIM, nc))
     Pi = np.zeros((DIM, nc))
@@ -229,13 +228,11 @@ def compute_green(domain, coeffs, y, eps, tol=DEFAULT_TOL, operator=None):
 def compute_adjoint_green(domain, coeffs, x, sigma, tol=DEFAULT_TOL, operator=None):
     """Approximated Green function of the adjoint operator at pole x.
 
-    ``operator`` is the adjoint operator; without one, the adjoint
-    coefficients are assembled rather than the discrete operator transposed
-    (a transpose-equality test ties the two together).
+    ``coeffs`` are the direct coefficients and ``operator`` is the adjoint
+    operator; without one, it is ``shared_operator(domain,
+    coeffs).adjoint()``, whose K is the direct K transposed.
     """
-    op = operator
-    if op is None:
-        op = ConormalOperator(domain, adjoint_field(coeffs))
+    op = operator if operator is not None else shared_operator(domain, coeffs).adjoint()
     out = compute_green(domain, op.coeffs, x, sigma, tol=tol, operator=op)
     out.adjoint = True
     return out
@@ -341,7 +338,9 @@ def representation_check(domain, coeffs, green, f=None, g=None, tol=DEFAULT_TOL,
     """Reproduce the adjoint-problem solution from the Green pair.
 
     Solves the adjoint conormal problem with data (f, g) (f mean-zero,
-    bounded) and compares ``u`` near the pole against
+    bounded) on ``adjoint_operator`` or, without one, on
+    ``shared_operator(domain, coeffs).adjoint()``, the transpose of the
+    direct operator, and compares ``u`` near the pole against
     ``-int G^T f + int Pi^T g``.  With a shared discrete operator the
     eps-averaged form is exact up to solver tolerance; the pointwise form
     carries the averaging error and is checked as a refinement trend.
@@ -355,7 +354,7 @@ def representation_check(domain, coeffs, green, f=None, g=None, tol=DEFAULT_TOL,
         raise CompatibilityError("representation data f must be mean-zero")
     op = adjoint_operator
     if op is None:
-        op = ConormalOperator(domain, adjoint_field(coeffs))
+        op = shared_operator(domain, coeffs).adjoint()
     field, _ = solve_conormal(assemble(op, f=fv, g=gv), tol=tol)
 
     predicted = np.empty(DIM)
@@ -409,7 +408,7 @@ def epsilon_convergence(domain, coeffs, y, eps_list, R, tol=DEFAULT_TOL, operato
         raise ResolutionError("smallest eps is below the resolvable 2h")
     if not R > 2 * max(eps_list):
         raise ResolutionError("annulus radius R must exceed twice the largest eps")
-    op = operator if operator is not None else ConormalOperator(domain, coeffs)
+    op = operator if operator is not None else shared_operator(domain, coeffs)
     greens = [compute_green(domain, coeffs, y, e, tol=tol, operator=op) for e in eps_list]
     ball = domain.cells_in_ball(greens[0].y, R)
     inside = np.zeros(domain.ncells, dtype=bool)

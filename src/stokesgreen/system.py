@@ -21,8 +21,10 @@ component.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
+import weakref
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -49,12 +51,18 @@ _axpy, _dot, _nrm2 = get_blas_funcs(("axpy", "dot", "nrm2"), dtype=np.float64)
 
 
 class GridOperators:
-    """Sparse difference operators on the included cells of a domain."""
+    """Sparse difference operators on the included cells of a domain.
+
+    Keeps only ``ncells`` and ``h`` of the domain, not the domain itself:
+    the domain holds these operators, so a back-reference would be a cycle
+    that keeps them (and the Krylov workspace) alive until the cyclic
+    collector runs.  ``operators`` is the weak-valued registry of
+    ``shared_operator``.
+    """
 
     def __init__(self, domain):
-        self.domain = domain
-        nc = domain.ncells
-        h = domain.h
+        self.ncells = nc = domain.ncells
+        self.h = h = domain.h
         shape = np.array(domain.shape)
         ijk = domain.cell_ijk
 
@@ -129,6 +137,7 @@ class GridOperators:
             (D.T * h3) @ D for D in self.dface
         ).tocsr()  # (grad p, grad q) on cells
         self._krylov = None
+        self.operators = weakref.WeakValueDictionary()
 
     def krylov_workspace(self):
         """The LGMRES workspace of every operator on this domain (each has
@@ -139,7 +148,7 @@ class GridOperators:
         solves on one domain concurrently."""
         if self._krylov is None:
             nv = INNER_M + OUTER_K + 1
-            work = np.empty((nv + 2 * (OUTER_K + 1), (DIM + 1) * self.domain.ncells + DIM))
+            work = np.empty((nv + 2 * (OUTER_K + 1), (DIM + 1) * self.ncells + DIM))
             self._krylov = (work[:nv], work[nv : nv + OUTER_K + 1], work[nv + OUTER_K + 1 :])
         return self._krylov
 
@@ -154,15 +163,15 @@ class GridOperators:
     def grad_sq(self, u):
         """Per-cell squared Frobenius norm of the centered gradient of the
         component fields ``u`` (..., n), summed over components in order."""
-        total = np.zeros(self.domain.ncells)
-        for comp in np.reshape(u, (-1, self.domain.ncells)):
+        total = np.zeros(self.ncells)
+        for comp in np.reshape(u, (-1, self.ncells)):
             g = self.gradient(comp)
             total += np.einsum("ac,ac->c", g, g)
         return total
 
     def grad_energy_sq(self, u):
         """Quadrature of the squared gradient matching the viscous form."""
-        h3 = self.domain.h**3
+        h3 = self.h**3
         total = 0.0
         for comp in np.atleast_2d(u):
             for a in range(DIM):
@@ -206,8 +215,7 @@ class ConormalOperator:
     """
 
     def __init__(self, domain, coeffs, c_s=DEFAULT_STAB):
-        if coeffs.shape != domain.shape or abs(coeffs.h - domain.h) > 1e-15:
-            raise GeometryError("coefficient grid does not match the domain grid")
+        _check_grid(domain, coeffs)
         self.domain = domain
         self.coeffs = coeffs
         self.c_s = float(c_s)
@@ -257,14 +265,26 @@ class ConormalOperator:
         self._adjoint = None
 
     def adjoint(self):
-        """The operator of the adjoint coefficients, whose K is this K's
-        transpose: ``self`` for self-adjoint coefficients, otherwise
-        assembled once with the same ``c_s`` and kept."""
+        """The operator of the adjoint coefficients: ``self`` for
+        self-adjoint coefficients, otherwise built once and kept.
+
+        Its K is this K's transpose, ``K.T.tocsr()`` with sorted indices,
+        so nothing is assembled: the adjoint system is the transposed one
+        by construction (G*(x, y) = G(y, x)^T).  It shares ``ops``, ``B``,
+        ``C``, ``E`` and the preconditioner, which reads only the domain,
+        ``c_s`` and B, and carries ``adjoint_field(self.coeffs)``.  It holds
+        no reference back to this operator, so the pair forms no cycle.
+        """
         if self.coeffs.is_self_adjoint():
             return self
         if self._adjoint is None:
-            self._adjoint = ConormalOperator(self.domain, adjoint_field(self.coeffs),
-                                             self.c_s)
+            if self._prec is None:
+                self._prec = self._build_prec()
+            adj = copy.copy(self)
+            adj.coeffs = adjoint_field(self.coeffs)
+            adj.K = self.K.T.tocsr()
+            adj.K.sort_indices()
+            self._adjoint = adj
         return self._adjoint
 
     # -- preconditioner ---------------------------------------------------
@@ -325,33 +345,43 @@ class ConormalOperator:
         mult_scale = h3 * dom.volume / shift
         nc, nu = self.nc, self.nu
         B = self.B
+        # the pressure block is -(Schur)^-1: negating the symbol is exact,
+        # so no negated copy of the input is made
+        neg_schur_t = -schur_t
         if dom.mask.all():
 
             def apply_box(rest, out, symbol):
                 out[:] = box_inverse(rest.reshape((-1,) + shape), symbol).ravel()
 
         else:
-            # one zero box per operator: only the included cells are ever
-            # written, so the rest stays zero, but this preconditioner is
-            # not reentrant (nothing applies it concurrently)
-            box = np.zeros((DIM,) + shape)
+            # one box per operator, so this preconditioner is not reentrant
+            # (nothing applies it concurrently); the zero extension is one
+            # gather through the box-to-domain index, then the excluded
+            # cells are zeroed.  Every index is in range, and mode="clip"
+            # skips the buffered copy that np.take makes under "raise"
+            box = np.empty((DIM,) + shape)
             flat_box = box.reshape(DIM, -1)
             cells = np.flatnonzero(dom.mask)
+            outside = np.flatnonzero(~dom.mask)
+            source = np.maximum(dom.cell_id, 0).ravel()
 
             def apply_box(rest, out, symbol):
                 m = rest.size // nc
-                flat_box[:m, cells] = rest.reshape(m, nc)
+                np.take(rest.reshape(m, nc), source, axis=1, out=flat_box[:m], mode="clip")
+                flat_box[:m, outside] = 0.0
                 res = box_inverse(box[:m], symbol).reshape(m, -1)
-                np.take(res, cells, axis=1, out=out.reshape(m, nc))
+                np.take(res, cells, axis=1, out=out.reshape(m, nc), mode="clip")
 
         def prec(x):
             out = np.empty_like(x)
             p = out[nu : nu + nc]
-            apply_box(-x[nu : nu + nc], p, schur_t)
+            apply_box(x[nu : nu + nc], p, neg_schur_t)
             lam = out[nu + nc :] = -x[nu + nc :] / mult_scale
-            rest = x[:nu] - B @ p
+            # apply_box reads all of its input before it writes its output,
+            # so rest can live in the velocity block it is mapped to
+            rest = np.subtract(x[:nu], B @ p, out=out[:nu])
             rest.reshape(DIM, nc)[:] -= (h3 * lam)[:, None]
-            apply_box(rest, out[:nu], eigs_t)
+            apply_box(rest, rest, eigs_t)
             return out
 
         return prec
@@ -448,6 +478,33 @@ class ConormalOperator:
                 iterations=info["iterations"],
             )
         return x, info
+
+
+def _check_grid(domain, coeffs):
+    if coeffs.shape != domain.shape or abs(coeffs.h - domain.h) > 1e-15:
+        raise GeometryError("coefficient grid does not match the domain grid")
+
+
+def shared_operator(domain, coeffs, c_s=DEFAULT_STAB):
+    """The live ``ConormalOperator`` of (domain, coefficients, c_s), or a
+    new one.
+
+    The domain's ``GridOperators`` keep a weak-valued registry keyed by
+    ``(coeffs.digest(), c_s)``, so callers that use the same operator at
+    the same time share one K, and no operator outlives its last user.
+    The digest is 64 bits and leaves out the grid: the grid is checked on
+    every call, and a hit is taken only if its codebook, index and lam
+    equal those of ``coeffs``.
+    """
+    _check_grid(domain, coeffs)
+    registry = grid_operators(domain).operators
+    key = (coeffs.digest(), float(c_s))
+    op = registry.get(key)
+    if op is None or not (np.array_equal(op.coeffs.tensors, coeffs.tensors)
+                          and np.array_equal(op.coeffs.index, coeffs.index)
+                          and op.coeffs.lam == coeffs.lam):
+        op = registry[key] = ConormalOperator(domain, coeffs, c_s)
+    return op
 
 
 def _lgmres_cycle(x, beta, ptol, workspace, kept, inner_m, matvec, psolve):
@@ -666,10 +723,13 @@ class DivergenceSolution:
 def solve_divergence(domain, g, tol=DEFAULT_TOL, div_tol=1e-8, max_sweeps=16):
     """Minimal-energy velocity with prescribed divergence (mean-zero g).
 
-    Solves the identity-coefficient conormal system with data (0, 0, g);
-    the stabilization pollution of ``div u`` is removed by correction
-    sweeps on the constraint data until ``||div u - g|| <= div_tol ||g||``
-    or the reduction stalls.  ``converged`` records whether that bound held.
+    Solves the identity-coefficient conormal system with data (0, 0, g) on
+    ``shared_operator(domain, constant_identity(domain))``, so a caller
+    holding the domain's identity operator at the default ``c_s`` lends it
+    and nothing is assembled; the stabilization pollution of ``div u`` is
+    removed by correction sweeps on the constraint data until
+    ``||div u - g|| <= div_tol ||g||`` or the reduction stalls.
+    ``converged`` records whether that bound held.
     """
     from .coefficients import constant_identity
 
@@ -681,7 +741,7 @@ def solve_divergence(domain, g, tol=DEFAULT_TOL, div_tol=1e-8, max_sweeps=16):
         raise CompatibilityError(
             f"divergence data must have zero mean: |(g)| = {abs(gv.mean()):.3e}"
         )
-    op = ConormalOperator(domain, constant_identity(domain))
+    op = shared_operator(domain, constant_identity(domain))
     ops = op.ops
     g_in = gv.copy()
     x0 = None

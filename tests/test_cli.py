@@ -320,9 +320,18 @@ def test_every_estimate_runner_end_to_end(tmp_path):
 def test_bogovskii_row_flags_a_missed_divergence_target(tmp_path, monkeypatch):
     # at 8^3 the correction sweeps stall near 1e-2 relative, far above
     # div_tol = 1e-8: the row says so, and stays informational
+    built, operator_class = [], system.ConormalOperator
+
+    def counted(*args):
+        built.append(args)
+        return operator_class(*args)
+
+    for module in (cli, system):
+        monkeypatch.setattr(module, "ConormalOperator", counted)
     pipe = Pipeline(make_config(tmp_path))
     pipe.build()
     (missed,) = pipe.run_estimate("bogovskii")
+    assert len(built) == 1  # the divergence solve borrows the pipeline's operator
     assert missed.passed
     assert len(missed.flags) == 1 and "above its target" in missed.flags[0]
     # a target the sweeps meet gives no flag

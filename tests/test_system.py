@@ -1,14 +1,18 @@
+import gc
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from stokesgreen import system
 from stokesgreen.coefficients import (
     CoefficientField,
     adjoint_field,
+    build_coefficients,
     constant_identity,
 )
 from stokesgreen.domain import build_box, build_l_shape, build_voxel_ball
@@ -20,6 +24,7 @@ from stokesgreen.system import (
     grid_operators,
     lp_norm,
     poincare_constant,
+    shared_operator,
     solve_conormal,
     solve_divergence,
 )
@@ -98,15 +103,110 @@ def test_data_shape_mismatch():
 
 
 def test_adjoint_operator_is_transpose():
+    # the transposed K against an independent assembly of the adjoint
+    # coefficients: same pattern, values equal to rounding
     domain = build_box((1.0, 1.0, 1.0), 1.0 / 6)
     rng = np.random.default_rng(5)
     coeffs = make_field(domain, random_elliptic_tensor(rng), 0.1)
     op = ConormalOperator(domain, coeffs)
     op_adj = op.adjoint()
-    assert op_adj is not op and op.adjoint() is op_adj  # assembled once
-    diff = (op_adj.K - op.K.T).tocoo()
-    scale = max(abs(op.K).max(), 1.0)
-    assert (np.abs(diff.data).max() if diff.nnz else 0.0) <= 1e-12 * scale
+    assert op_adj is not op and op.adjoint() is op_adj  # built once
+    assembled = ConormalOperator(domain, adjoint_field(coeffs)).K
+    assert op_adj.K.has_sorted_indices
+    assert np.array_equal(op_adj.K.indptr, assembled.indptr)
+    assert np.array_equal(op_adj.K.indices, assembled.indices)
+    scale = abs(op.K).max()
+    assert np.abs(op_adj.K.data - assembled.data).max() <= 1e-15 * scale
+    assert np.array_equal(op_adj.coeffs.tensors, adjoint_field(coeffs).tensors)
+
+
+def test_nonsymmetric_adjoint_constructs_nothing_and_shares_blocks(monkeypatch):
+    domain = build_box((1.0, 1.0, 1.0), 1.0 / 6)
+    coeffs = make_field(domain, random_elliptic_tensor(np.random.default_rng(2)), 0.1)
+    assert not coeffs.is_self_adjoint()
+    op = ConormalOperator(domain, coeffs)
+    built = []
+    original = ConormalOperator.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConormalOperator, "__init__", counted)
+    adj = op.adjoint()
+    assert built == []
+    assert all(getattr(adj, name) is getattr(op, name) for name in ("ops", "B", "C", "E", "_prec"))
+    assert np.array_equal(adj.K.toarray(), op.K.T.toarray())
+    # no back-reference: the direct operator dies with its last user, cycle
+    # collector off, while its adjoint lives on
+    gc.disable()
+    try:
+        alive = weakref.ref(op)
+        del op
+        assert alive() is None
+    finally:
+        gc.enable()
+    x, _ = adj.solve(assemble(adj, f=linear_velocity(domain, np.eye(3)) - 0.5).rhs)
+    assert np.all(np.isfinite(x))
+
+
+def test_shared_operator_registry():
+    domain = build_box((1.0, 1.0, 1.0), 1.0 / 6)
+    registry = grid_operators(domain).operators
+    # content-equal fields built separately have one digest and one operator
+    a, b = constant_identity(domain), build_coefficients(domain, {"kind": "identity"})
+    assert a is not b and a.digest() == b.digest()
+    op = shared_operator(domain, a)
+    assert shared_operator(domain, b) is op
+    assert shared_operator(domain, b, c_s=0.2) is not op
+    other = build_coefficients(domain, {"kind": "checkerboard", "period": 0.5, "lam": 0.5})
+    other_op = shared_operator(domain, other)
+    assert other_op is not op and other_op.coeffs is other
+    # the grid is checked on every call, hits included
+    with pytest.raises(GeometryError):
+        shared_operator(domain, constant_identity(build_box((1.0, 1.0, 1.0), 1.0 / 4)))
+    # an equal digest with other content is not a hit
+    forged = CoefficientField(a.shape, a.h, 2.0 * a.tensors, a.index, a.lam)
+    forged.digest = a.digest
+    assert shared_operator(domain, forged) is not op
+    # weak values: no entry outlives the last user of its operator
+    del op, other_op
+    assert len(registry) == 0
+
+
+def test_solve_divergence_borrows_the_live_identity_operator(monkeypatch):
+    domain = build_box((1.0, 1.0, 1.0), 1.0 / 8)
+    g = np.where(domain.cell_centers[:, 0] < 0.5, 1.0, -1.0)
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return ConormalOperator(*args, **kwargs)
+
+    monkeypatch.setattr(system, "ConormalOperator", counted)
+    op = shared_operator(domain, build_coefficients(domain, {"kind": "identity"}))
+    borrowed = solve_divergence(domain, g)
+    assert len(built) == 1
+    del op
+    # without a live one it builds its own, and drops it afterwards
+    assert solve_divergence(domain, g).quotient == borrowed.quotient
+    assert len(built) == 2 and len(grid_operators(domain).operators) == 0
+
+
+def test_grid_operators_die_with_their_domain():
+    # the domain holds its grid operators; they hold no reference back, so
+    # they and the touched Krylov workspace go with the domain's last
+    # reference, without the cycle collector
+    gc.disable()
+    try:
+        domain = build_box((1.0, 1.0, 1.0), 1.0 / 6)
+        op = shared_operator(domain, constant_identity(domain))
+        op.solve(assemble(op, f=linear_velocity(domain, np.eye(3)) - 0.5).rhs)
+        ops = weakref.ref(op.ops)
+        del op, domain
+        assert ops() is None
+    finally:
+        gc.enable()
 
 
 def triple_product_reference_K(op):
@@ -609,6 +709,23 @@ def test_lgmres_matches_scipy_reference(case, monkeypatch):
     assert info["iterations"] == applies
     if case == "divergence24":
         assert carried == [0, 1, 2, 3, 3]
+
+
+def test_preconditioner_apply_allocates_few_temporaries(box16):
+    # one apply allocates its output (1 vector), B p (3/4) and two DCT
+    # intermediates of the velocity block (3/4 each); a negated copy of the
+    # pressure input and a fresh velocity right-hand side made it 4.01
+    domain, coeffs, op = box16
+    M = op.preconditioner()
+    x = np.random.default_rng(0).standard_normal(op.ntot)
+    M @ x
+    tracemalloc.start()
+    try:
+        M @ x
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * op.ntot
 
 
 def test_repeat_solve_allocates_no_krylov_basis(box16, monkeypatch):
