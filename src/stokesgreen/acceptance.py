@@ -52,11 +52,12 @@ PRESET_SIZES = {"smoke": 16, "standard": 24, "deep": 32}
 # Resident-set need of each preset, used by the graceful memory skip: the
 # peak RSS of `stokesgreen verify --preset P` in a fresh process (getrusage
 # of the child; numpy 2.4, scipy 1.17, 2-core x86-64 Linux) plus 25%,
-# rounded up to 10 MB.  Measured: smoke 238 MB, standard 313 MB, deep
-# 297 MB, each reached in C12 (its 64^3 fields).  C10 borrows the suite's
-# 32^3 identity operator in standard and deep and assembles its own only in
-# smoke; each domain keeps the Krylov basis its solves have touched.
-MEMORY_REQUIREMENT_MB = {"smoke": 300, "standard": 400, "deep": 380}
+# rounded up to 10 MB.  Measured: smoke 180 MB, reached in C10; standard
+# 240 MB and deep 225 MB, reached in C12 (its 64^3 fields).  C10 borrows
+# the suite's 32^3 identity operator in standard and deep and assembles its
+# own only in smoke; each domain keeps the Krylov basis its solves have
+# touched.
+MEMORY_REQUIREMENT_MB = {"smoke": 230, "standard": 310, "deep": 290}
 
 # C08 is defined at h = 1/16 and h = 1/32 in every preset: its mollifier
 # radius eps must be at least 2h on both grids

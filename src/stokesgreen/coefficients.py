@@ -24,6 +24,8 @@ from .errors import GeometryError, ResolutionError, ValidationError
 
 DIM = 3
 _ORTHO_TOL = 1e-12
+# cells per gathered (cells, 81) block in partial_oscillation
+_OSCILLATION_CHUNK = 4096
 
 
 def identity_tensor(scale=1.0):
@@ -293,35 +295,43 @@ def partial_oscillation(field, frame, q):
     if np.any(z - R < -1e-12) or np.any(z + R > extent + 1e-12):
         raise GeometryError("oscillation ball must lie inside the bounding box")
 
-    centers = _cell_centers(field.shape, h)
-    rel = frame.rotation @ (centers - z).T  # frame coords relative to z
+    # cell-centre offsets from z, one (cells, 3) array filled axis by axis;
+    # the slab and ball cells are then gathered in chunks of
+    # _OSCILLATION_CHUNK, which keeps np.add.at's order and every value
+    offsets = np.empty(field.shape + (DIM,))
+    for a, n in enumerate(field.shape):
+        along = [1] * DIM
+        along[a] = n
+        offsets[..., a] = ((np.arange(n) + 0.5) * h - z[a]).reshape(along)
+    rel = frame.rotation @ offsets.reshape(-1, DIM).T  # frame coords relative to z
+    del offsets
     t1 = rel[0]
     perp2 = rel[1] ** 2 + rel[2] ** 2
-    r2 = t1**2 + perp2
 
-    in_slab = (perp2 <= R**2) & (np.abs(t1) <= R + h)
-    in_ball = r2 <= R**2
-    if not in_ball.any():
+    slab = np.flatnonzero((perp2 <= R**2) & (np.abs(t1) <= R + h))
+    ball = np.flatnonzero(t1**2 + perp2 <= R**2)
+    if not len(ball):
         raise ResolutionError("oscillation ball contains no cells")
 
     # round-half-up keeps every aligned cell layer in exactly one bin even
     # when z sits on a cell-center or cell-face plane
-    keys = np.floor(t1 / h + 0.5).astype(np.int64)
-    slab_keys = keys[in_slab]
+    slab_keys, ball_keys = (np.floor(t1[ids] / h + 0.5).astype(np.int64) for ids in (slab, ball))
+    del rel, t1, perp2
     uniq, slab_bin = np.unique(slab_keys, return_inverse=True)
-    vals = field.tensors[field.index[in_slab]].reshape(-1, 81)
     sums = np.zeros((len(uniq), 81))
-    np.add.at(sums, slab_bin, vals)
+    for start in range(0, len(slab), _OSCILLATION_CHUNK):
+        cut = slice(start, start + _OSCILLATION_CHUNK)
+        np.add.at(sums, slab_bin[cut], field.tensors[field.index[slab[cut]]].reshape(-1, 81))
     counts = np.bincount(slab_bin, minlength=len(uniq)).astype(float)
     means = sums / counts[:, None]
 
-    ball_keys = keys[in_ball]
     pos = np.searchsorted(uniq, ball_keys)
-    diff = field.tensors[field.index[in_ball]].reshape(-1, 81) - means[pos]
-    diff = np.abs(diff.reshape(-1, DIM, DIM, DIM, DIM))
-    rows = diff.sum(axis=4).max(axis=3)
-    cols = diff.sum(axis=3).max(axis=3)
-    norms = np.maximum(rows, cols)  # (nball, 3, 3) per-block norms
+    norms = np.empty((len(ball), DIM, DIM))  # per-cell block norms
+    for start in range(0, len(ball), _OSCILLATION_CHUNK):
+        cut = slice(start, start + _OSCILLATION_CHUNK)
+        diff = field.tensors[field.index[ball[cut]]].reshape(-1, 81) - means[pos[cut]]
+        diff = np.abs(diff.reshape(-1, DIM, DIM, DIM, DIM))
+        np.maximum(diff.sum(axis=4).max(axis=3), diff.sum(axis=3).max(axis=3), out=norms[cut])
     return float(norms.mean(axis=0).max())
 
 

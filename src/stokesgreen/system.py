@@ -21,6 +21,7 @@ component.
 
 from __future__ import annotations
 
+import collections
 import copy
 import math
 import time
@@ -57,7 +58,8 @@ class GridOperators:
     the domain holds these operators, so a back-reference would be a cycle
     that keeps them (and the Krylov workspace) alive until the cyclic
     collector runs.  ``operators`` is the weak-valued registry of
-    ``shared_operator``.
+    ``shared_operator``.  ``dbar[a]`` and ``dkap[a]`` are views of row
+    blocks of ``D``, so writing to one writes to ``D``.
     """
 
     def __init__(self, domain):
@@ -75,12 +77,9 @@ class GridOperators:
                 ids = -np.ones(nc, dtype=np.int64)
                 ids[ok] = domain.cell_id[q[ok, 0], q[ok, 1], q[ok, 2]]
                 nb[a, s] = ids
-        self.neighbors = nb
 
         cells = np.arange(nc)
-        self.dbar = []
-        self.dkap = []
-        self.dface = []
+        dbars, dkaps, dfaces = [], [], []
         for a in range(DIM):
             minus, plus = nb[a, 0], nb[a, 1]
             has_m, has_p = minus >= 0, plus >= 0
@@ -119,22 +118,35 @@ class GridOperators:
                 ),
                 shape=(nc, nc),
             ).tocsr()
-            self.dbar.append(dbar)
-            self.dkap.append(dkap)
+            dbars.append(dbar)
+            dkaps.append(dkap)
             # raw face differences (interior faces along axis a)
             fc = cells[has_p]
             nf = len(fc)
             frows = np.repeat(np.arange(nf), 2)
             fcols = np.stack([plus[has_p], fc], axis=1).ravel()
             fvals = np.tile([1.0 / h, -1.0 / h], nf)
-            self.dface.append(sp.coo_matrix((fvals, (frows, fcols)), shape=(nf, nc)).tocsr())
+            dfaces.append(sp.coo_matrix((fvals, (frows, fcols)), shape=(nf, nc)).tocsr())
 
         # D = [dbar_0..2; dkap_0..2] (6n x n), shared by every operator
-        self.D = sp.vstack(self.dbar + self.dkap, format="csr")
-        self.DT = self.D.T.tocsr()
+        self.D = D = sp.vstack(dbars + dkaps, format="csr")
+        del dbars, dkaps
+        self.DT = D.T.tocsr()
+
+        def rows(k):
+            # the constructor copies a slice this much smaller than its base,
+            # so the views are set on an empty matrix instead
+            start, stop = D.indptr[k * nc], D.indptr[(k + 1) * nc]
+            block = sp.csr_matrix((nc, nc))
+            block.indptr = D.indptr[k * nc : (k + 1) * nc + 1] - start
+            block.indices, block.data = D.indices[start:stop], D.data[start:stop]
+            return block
+
+        self.dbar = [rows(a) for a in range(DIM)]
+        self.dkap = [rows(DIM + a) for a in range(DIM)]
         h3 = h**3
         self.lap_scalar = sum(
-            (D.T * h3) @ D for D in self.dface
+            (F.T * h3) @ F for F in dfaces
         ).tocsr()  # (grad p, grad q) on cells
         self._krylov = None
         self.operators = weakref.WeakValueDictionary()
@@ -212,6 +224,8 @@ class ConormalOperator:
     column to the ``dbar_a`` row and ``h^3 a^{aa}_ij`` on the ``dkap_a``
     diagonal.  Only ``K`` keeps the viscous blocks; it is stacked one CSR
     block row at a time, so no copy of all nine blocks is kept beside it.
+    Blocks with equal weights (the three diagonal blocks of an isotropic
+    tensor, the zero off-diagonal ones) are formed once.
     """
 
     def __init__(self, domain, coeffs, c_s=DEFAULT_STAB):
@@ -227,19 +241,36 @@ class ConormalOperator:
         flat = domain.flat_ids
 
         # (row, column) of D for each weight a^{ab}_ij; zero-weight terms are
-        # left out, so K keeps the pattern of the sum of triple products
+        # left out, so K keeps the pattern of the sum of triple products.
+        # Whether a term is zero is read from the codebook entries the cells
+        # use, so a zero term costs no per-cell gather
         cells = np.arange(nc)
         terms = [(a, b, a, b) for a in range(DIM) for b in range(DIM)]
         terms += [(DIM + a, DIM + a, a, a) for a in range(DIM)]
+        codebook = coeffs.tensors[np.unique(coeffs.index[flat])]
 
-        def block(i, j):
-            w = [(r, c, coeffs.entry(a, b, i, j, flat)) for r, c, a, b in terms]
-            w = [(h3 * v, r * nc + cells, c * nc + cells) for r, c, v in w if np.any(v)]
+        def form(i, j):
+            w = [(h3 * coeffs.entry(a, b, i, j, flat), r * nc + cells, c * nc + cells)
+                 for r, c, a, b in terms if np.any(codebook[:, a, b, i, j])]
             if not w:
                 return sp.csr_matrix((nc, nc))
             vals, rows, cols = map(np.concatenate, zip(*w))
             W = sp.csr_matrix((vals, (rows, cols)), shape=(2 * DIM * nc,) * 2)
             return ops.DT @ (W @ ops.D)
+
+        # blocks whose weights agree on every used codebook entry are equal,
+        # so each distinct block is formed once and dropped after its last use
+        keys = {(i, j): codebook[:, :, :, i, j].tobytes()
+                for i in range(DIM) for j in range(DIM)}
+        uses = collections.Counter(keys.values())
+        formed = {}
+
+        def block(i, j):
+            key = keys[i, j]
+            if key not in formed:
+                formed[key] = form(i, j)
+            uses[key] -= 1
+            return formed[key] if uses[key] else formed.pop(key)
 
         div = [h3 * D for D in ops.dbar]
         grad = [D.T.tocsr() for D in div]
@@ -492,9 +523,11 @@ def shared_operator(domain, coeffs, c_s=DEFAULT_STAB):
     The domain's ``GridOperators`` keep a weak-valued registry keyed by
     ``(coeffs.digest(), c_s)``, so callers that use the same operator at
     the same time share one K, and no operator outlives its last user.
-    The digest is 64 bits and leaves out the grid: the grid is checked on
-    every call, and a hit is taken only if its codebook, index and lam
-    equal those of ``coeffs``.
+    An operator is shared only while a caller holds it: calls that keep
+    none, such as two ``compute_green`` calls with ``operator=None``,
+    assemble once each.  The digest is 64 bits and leaves out the grid:
+    the grid is checked on every call, and a hit is taken only if its
+    codebook, index and lam equal those of ``coeffs``.
     """
     _check_grid(domain, coeffs)
     registry = grid_operators(domain).operators

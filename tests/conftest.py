@@ -1,8 +1,10 @@
 import os
 
-# One BLAS thread, as perfbench/run.py sets: small solves run 2-2.5 times
-# slower with two, because OpenBLAS threads the level-1 calls of SciPy's
-# LGMRES.  Set before numpy loads; a value the user set wins.
+# One BLAS thread, as perfbench/run.py sets: a 16^3 Green pair runs two to
+# three times slower with two on a 2-core machine, because OpenBLAS threads
+# the short dot, axpy and GEMV calls of the Gram-Schmidt loop in
+# ConormalOperator.solve (BENCH_distinct_blocks.json).  Set before numpy
+# loads; a value the user set wins.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

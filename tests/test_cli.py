@@ -270,14 +270,13 @@ def test_run_and_verify_weak_type_agree(tmp_path):
 
 
 def test_every_estimate_runner_end_to_end(tmp_path):
-    # one pipeline exercising every estimate id at 16^3
-    raw = {
-        "domain": {"kind": "box", "extent": [1.0, 1.0, 1.0], "h": 1.0 / 16},
-        "coefficients": {"kind": "identity"},
-        "estimates": list(VALID_ESTIMATES),
-        "out": str(tmp_path / "full"),
-        "seed": 1,
-    }
+    # one pipeline exercising every estimate id at 16^3; the golden files
+    # are rewritten from the same config by the command in README.md,
+    # `stokesgreen run --config tests/data/reports16.json --out DIR` and a
+    # copy of DIR/reports.csv and DIR/reports.txt to reports16.*
+    raw = json.loads((DATA / "reports16.json").read_text())
+    assert raw["estimates"] == list(VALID_ESTIMATES)
+    raw["out"] = str(tmp_path / "full")
     cfg = ExperimentConfig.from_dict(raw)
     code = run_experiment(cfg)
     assert code in (0, 1)  # windows at 16^3 are honest; no crash, no skip

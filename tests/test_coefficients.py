@@ -224,6 +224,40 @@ def test_oscillation_rotated_rate_shrinks_with_h():
     assert vals[64] <= 2 * (1.0 / 64) / q.radius / 0.5  # O(h/R) envelope
 
 
+def test_oscillation_chunks_keep_every_value(monkeypatch):
+    # the slab and ball cells are gathered in chunks; chunked np.add.at keeps
+    # the accumulation order, so any chunk size gives the one-chunk value
+    from stokesgreen import coefficients
+
+    dom = build_box((1.0, 1.0, 1.0), 1.0 / 24)
+    rng = np.random.default_rng(4)
+    field = CoefficientField(dom.shape, dom.h, rng.standard_normal((5, 3, 3, 3, 3)),
+                             rng.integers(0, 5, dom.ncells).astype(np.int32), 0.5)
+    frame = Frame.from_first_axis((1.0, 0.37, -0.2), origin=(0.1, 0.2, 0.3))
+    q = BallQuery((0.45, 0.5, 0.55), 0.25)
+    monkeypatch.setattr(coefficients, "_OSCILLATION_CHUNK", 10**9)
+    whole = partial_oscillation(field, frame, q)
+    monkeypatch.setattr(coefficients, "_OSCILLATION_CHUNK", 97)
+    assert partial_oscillation(field, frame, q) == whole
+
+
+def test_oscillation_peak_memory_on_64_cubed(box64):
+    # C12's 64^3 layered field: no (cells x 81) array of the whole slab or
+    # ball, and no box-sized array beyond the centre offsets and their
+    # frame coordinates (6.3 MB each)
+    import tracemalloc
+
+    field = two_layer_field(box64, lam=0.5)
+    tracemalloc.start()
+    try:
+        partial_oscillation(field, Frame.axis_permutation([1, 0, 2]),
+                            BallQuery((0.5, 0.5, 0.5), 0.25))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
+
+
 def test_oscillation_preconditions(box64):
     field = constant_identity(box64)
     with pytest.raises(ResolutionError):

@@ -142,6 +142,30 @@ def test_adjoint_green_differs_for_nonsymmetric_coefficients():
     assert rel > 1e-3
 
 
+def test_readme_quick_start_assembles_once(monkeypatch):
+    # the README sequence holds one shared operator for the direct and the
+    # adjoint pair; two calls with operator=None would assemble twice
+    from stokesgreen import system
+    from stokesgreen.coefficients import constant_identity
+
+    built, operator_class = [], system.ConormalOperator
+
+    def counted(*args):
+        built.append(args)
+        return operator_class(*args)
+
+    monkeypatch.setattr(system, "ConormalOperator", counted)
+    domain = build_box((1.0, 1.0, 1.0), h=1.0 / 8)
+    coeffs = constant_identity(domain)
+    op = system.shared_operator(domain, coeffs)
+    green = compute_green(domain, coeffs, y=(0.8125, 0.8125, 0.5625), eps=2 / 8,
+                          operator=op)
+    adjoint = compute_adjoint_green(domain, coeffs, x=(0.1875, 0.1875, 0.5625),
+                                    sigma=2 / 8, operator=op.adjoint())
+    assert np.isfinite(symmetry_check(domain, green, adjoint).discrepancy)
+    assert len(built) == 1
+
+
 # -- cross-pole identities -------------------------------------------------------
 
 

@@ -231,6 +231,83 @@ def triple_product_reference_K(op):
                     [E, None, None]], format="csr")
 
 
+def per_block_reference_K(op):
+    """K with every viscous block (i, j) formed by its own ``D^T W_ij D``
+    product from 12 per-cell weight gathers, zero-weight terms left out,
+    and the block rows stacked and sorted as ``ConormalOperator`` does."""
+    ops, coeffs, flat = op.ops, op.coeffs, op.domain.flat_ids
+    nc, h3 = op.nc, op.domain.h**3
+    cells = np.arange(nc)
+    terms = [(a, b, a, b) for a in range(3) for b in range(3)]
+    terms += [(3 + a, 3 + a, a, a) for a in range(3)]
+
+    def block(i, j):
+        w = [(r, c, coeffs.entry(a, b, i, j, flat)) for r, c, a, b in terms]
+        w = [(h3 * v, r * nc + cells, c * nc + cells) for r, c, v in w if np.any(v)]
+        if not w:
+            return sp.csr_matrix((nc, nc))
+        vals, rows, cols = map(np.concatenate, zip(*w))
+        W = sp.csr_matrix((vals, (rows, cols)), shape=(6 * nc,) * 2)
+        return ops.DT @ (W @ ops.D)
+
+    div = [h3 * D for D in ops.dbar]
+    grad = [D.T.tocsr() for D in div]
+    E = [sp.csr_matrix((np.full(nc, h3), (np.full(nc, i), cells)), shape=(3, nc))
+         for i in range(3)]
+    rows = [sp.hstack([block(i, j) for j in range(3)] + [grad[i], E[i].T.tocsr()],
+                      format="csr") for i in range(3)]
+    rows += [sp.hstack(div + [-op.C, sp.csr_matrix((nc, 3))], format="csr"),
+             sp.hstack(E + [sp.csr_matrix((3, nc + 3))], format="csr")]
+    for row in rows:
+        row.sort_indices()
+    return sp.vstack(rows, format="csr")
+
+
+def coo_reference_grid(domain):
+    """``dbar``, ``dkap`` and ``lap_scalar`` built axis by axis from COO
+    triplets, each ``dbar_a`` and ``dkap_a`` its own CSR matrix."""
+    nc, h = domain.ncells, domain.h
+    ijk, cells = domain.cell_ijk, np.arange(nc)
+    dbar, dkap, lap = [], [], sp.csr_matrix((nc, nc))
+    for a in range(3):
+        nb = []
+        for step in (-1, 1):
+            q = ijk.copy()
+            q[:, a] += step
+            ok = (q[:, a] >= 0) & (q[:, a] < domain.shape[a])
+            ids = -np.ones(nc, dtype=np.int64)
+            ids[ok] = domain.cell_id[q[ok, 0], q[ok, 1], q[ok, 2]]
+            nb.append(ids)
+        minus, plus = nb
+        both = (minus >= 0) & (plus >= 0)
+        only_p, only_m = (plus >= 0) & (minus < 0), (minus >= 0) & (plus < 0)
+        nboth, c = both.sum(), cells[both]
+        rows = [c, c, cells[only_p], cells[only_p], cells[only_m], cells[only_m]]
+        cols = [plus[both], minus[both], plus[only_p], cells[only_p],
+                cells[only_m], minus[only_m]]
+        vals = [np.full(nboth, 0.5 / h), np.full(nboth, -0.5 / h),
+                np.full(only_p.sum(), 1.0 / h), np.full(only_p.sum(), -1.0 / h),
+                np.full(only_m.sum(), 1.0 / h), np.full(only_m.sum(), -1.0 / h)]
+        dbar.append(sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                   np.concatenate(cols))), shape=(nc, nc)).tocsr())
+        kvals = np.concatenate([np.full(nboth, 0.5 / h), np.full(nboth, -1.0 / h),
+                                np.full(nboth, 0.5 / h)])
+        kcols = np.concatenate([plus[both], c, minus[both]])
+        dkap.append(sp.coo_matrix((kvals, (np.tile(c, 3), kcols)), shape=(nc, nc)).tocsr())
+        fc = cells[plus >= 0]
+        face = sp.coo_matrix((np.tile([1.0 / h, -1.0 / h], len(fc)),
+                              (np.repeat(np.arange(len(fc)), 2),
+                               np.stack([plus[plus >= 0], fc], axis=1).ravel())),
+                             shape=(len(fc), nc)).tocsr()
+        lap = lap + (face.T * h**3) @ face
+    return dbar, dkap, lap.tocsr()
+
+
+def assert_same_arrays(got, want):
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 def _full_tensor_field(domain, seed):
     A = random_elliptic_tensor(np.random.default_rng(seed), lam=0.1)
     return CoefficientField(domain.shape, domain.h, A[None],
@@ -277,6 +354,61 @@ def test_dtwd_assembly_matches_triple_products(kind):
     if kind == "identity-box16":
         assert np.array_equal(K.data, ref.data)
     assert np.abs(K.data - ref.data).max() <= 1e-15 * np.abs(ref.data).max()
+
+
+def _reuse_case(kind):
+    from stokesgreen.coefficients import checkerboard, identity_tensor
+
+    if kind == "checker12":
+        # equal diagonal blocks at a non-dyadic h
+        domain = build_box((1.0, 1.0, 1.0), 1.0 / 12)
+        return domain, checkerboard(domain, 0, 0.25, identity_tensor(1.0),
+                                    identity_tensor(0.3), 0.3)
+    if kind == "lshape24":
+        domain = _l_shape(24)
+        return domain, constant_identity(domain)
+    return _assembly_case(kind)
+
+
+@pytest.mark.parametrize("kind", ["identity-box16", "tensor-box8", "checkerboard", "layered",
+                                  "lshape12", "voxel-ball", "checker12", "lshape24"])
+def test_distinct_block_assembly_matches_per_block_reference(kind):
+    # forming each distinct viscous block once reuses only identical
+    # products, and the row views of D are D's own arrays: every array equal
+    domain, coeffs = _reuse_case(kind)
+    op = ConormalOperator(domain, coeffs)
+    assert_same_arrays(op.K, per_block_reference_K(op))
+    ops = op.ops
+    dbar, dkap, lap = coo_reference_grid(domain)
+    D = sp.vstack(dbar + dkap, format="csr")
+    assert_same_arrays(ops.D, D)
+    assert_same_arrays(ops.DT, D.T.tocsr())
+    assert_same_arrays(ops.lap_scalar, lap)
+    for got, want in zip(ops.dbar + ops.dkap, dbar + dkap):
+        assert_same_arrays(got, want)
+        assert np.shares_memory(got.data, ops.D.data)
+        assert np.shares_memory(got.indices, ops.D.indices)
+    assert not hasattr(ops, "dface") and not hasattr(ops, "neighbors")
+
+
+@pytest.mark.parametrize("kind, gathers", [("identity", 6), ("full-tensor", 108)])
+def test_assembly_gathers_only_nonzero_terms_of_distinct_blocks(kind, gathers, monkeypatch):
+    # identity: the three equal diagonal blocks gather their six nonzero
+    # weights once, and the zero off-diagonal blocks gather nothing; a full
+    # tensor has nine distinct blocks of 12 nonzero weights
+    domain = build_box((1.0, 1.0, 1.0), 1.0 / 16)
+    coeffs = (constant_identity(domain) if kind == "identity"
+              else _full_tensor_field(domain, 5))
+    calls = []
+    entry = CoefficientField.entry
+
+    def counted(self, *args):
+        calls.append(args)
+        return entry(self, *args)
+
+    monkeypatch.setattr(CoefficientField, "entry", counted)
+    ConormalOperator(domain, coeffs)
+    assert len(calls) == gathers
 
 
 def test_assembly_peak_memory_stays_below_three_copies_of_K():
