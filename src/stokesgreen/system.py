@@ -21,7 +21,6 @@ component.
 
 from __future__ import annotations
 
-import collections
 import copy
 import math
 import time
@@ -65,72 +64,34 @@ class GridOperators:
     def __init__(self, domain):
         self.ncells = nc = domain.ncells
         self.h = h = domain.h
-        shape = np.array(domain.shape)
-        ijk = domain.cell_ijk
-
-        nb = np.empty((DIM, 2, nc), dtype=np.int64)  # [axis][minus/plus]
-        for a in range(DIM):
-            for s, step in ((0, -1), (1, +1)):
-                q = ijk.copy()
-                q[:, a] += step
-                ok = (q[:, a] >= 0) & (q[:, a] < shape[a])
-                ids = -np.ones(nc, dtype=np.int64)
-                ids[ok] = domain.cell_id[q[ok, 0], q[ok, 1], q[ok, 2]]
-                nb[a, s] = ids
-
         cells = np.arange(nc)
-        dbars, dkaps, dfaces = [], [], []
+        # the minus and plus neighbour of every cell along each axis (-1
+        # outside), sliced from the padded id grid.  Ids grow with the flat
+        # index, so minus_0 < minus_1 < minus_2 < cell < plus_2 < plus_1 <
+        # plus_0 wherever they exist, and rows listed in that order are sorted
+        pad = np.pad(domain.cell_id, 1, constant_values=-1)
+        minus, plus = [], []
         for a in range(DIM):
-            minus, plus = nb[a, 0], nb[a, 1]
-            has_m, has_p = minus >= 0, plus >= 0
-            rows, cols, vals = [], [], []
-            krows, kcols, kvals = [], [], []
-            both = has_m & has_p
-            # centered difference
-            rows += [cells[both], cells[both]]
-            cols += [plus[both], minus[both]]
-            vals += [np.full(both.sum(), 0.5 / h), np.full(both.sum(), -0.5 / h)]
-            # curvature (half second difference)
-            krows += [cells[both]] * 3
-            kcols += [plus[both], cells[both], minus[both]]
-            kvals += [
-                np.full(both.sum(), 0.5 / h),
-                np.full(both.sum(), -1.0 / h),
-                np.full(both.sum(), 0.5 / h),
-            ]
-            # one-sided closures at the staircase boundary
-            only_p = has_p & ~has_m
-            rows += [cells[only_p], cells[only_p]]
-            cols += [plus[only_p], cells[only_p]]
-            vals += [np.full(only_p.sum(), 1.0 / h), np.full(only_p.sum(), -1.0 / h)]
-            only_m = has_m & ~has_p
-            rows += [cells[only_m], cells[only_m]]
-            cols += [cells[only_m], minus[only_m]]
-            vals += [np.full(only_m.sum(), 1.0 / h), np.full(only_m.sum(), -1.0 / h)]
-            dbar = sp.coo_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(nc, nc),
-            ).tocsr()
-            dkap = sp.coo_matrix(
-                (
-                    np.concatenate(kvals) if kvals else np.zeros(0),
-                    (np.concatenate(krows), np.concatenate(kcols)),
-                ),
-                shape=(nc, nc),
-            ).tocsr()
-            dbars.append(dbar)
-            dkaps.append(dkap)
-            # raw face differences (interior faces along axis a)
-            fc = cells[has_p]
-            nf = len(fc)
-            frows = np.repeat(np.arange(nf), 2)
-            fcols = np.stack([plus[has_p], fc], axis=1).ravel()
-            fvals = np.tile([1.0 / h, -1.0 / h], nf)
-            dfaces.append(sp.coo_matrix((fvals, (frows, fcols)), shape=(nf, nc)).tocsr())
+            for side, step in ((minus, -1), (plus, 1)):
+                index = [slice(1, -1)] * DIM
+                index[a] = slice(1 + step, pad.shape[a] - 1 + step)
+                side.append(pad[tuple(index)][domain.mask])
+        has_m = [m >= 0 for m in minus]
+        has_p = [p >= 0 for p in plus]
 
-        # D = [dbar_0..2; dkap_0..2] (6n x n), shared by every operator
-        self.D = D = sp.vstack(dbars + dkaps, format="csr")
-        del dbars, dkaps
+        # D = [dbar_0..2; dkap_0..2] (6n x n), shared by every operator.
+        # dbar_a is the centered difference with one-sided closures at the
+        # staircase boundary; dkap_a is the curvature (half second difference)
+        stencils = []
+        for a in range(DIM):
+            step = np.where(has_m[a] & has_p[a], 0.5 / h, 1.0 / h)
+            stencils.append(([np.where(has_m[a], minus[a], cells),
+                              np.where(has_p[a], plus[a], cells)],
+                             [-step, step], has_m[a] | has_p[a]))
+        for a in range(DIM):
+            stencils.append(([minus[a], cells, plus[a]], [0.5 / h, -1.0 / h, 0.5 / h],
+                             has_m[a] & has_p[a]))
+        self.D = D = _csr_from_stencils(stencils, (2 * DIM * nc, nc))
         self.DT = D.T.tocsr()
 
         def rows(k):
@@ -144,10 +105,19 @@ class GridOperators:
 
         self.dbar = [rows(a) for a in range(DIM)]
         self.dkap = [rows(DIM + a) for a in range(DIM)]
-        h3 = h**3
-        self.lap_scalar = sum(
-            (F.T * h3) @ F for F in dfaces
-        ).tocsr()  # (grad p, grad q) on cells
+        # (grad p, grad q) on cells, the sum over axes of the face-difference
+        # products F_a^T h^3 F_a: -v to each face neighbour and v per face on
+        # the diagonal, with v = ((1/h) h^3) (1/h), summed axis by axis; a
+        # cell with no face has no diagonal entry, as the products drop it
+        v = (1.0 / h * h**3) * (1.0 / h)
+        f0, f1, f2 = (v * (1.0 * m + p) for m, p in zip(has_m, has_p))
+        diag = (f0 + f1) + f2
+        vals = np.full((nc, 2 * DIM + 1), -v)
+        vals[:, DIM] = diag
+        cols = np.stack(minus + [cells] + plus[::-1], axis=1)
+        keep = np.stack(has_m + [diag > 0] + has_p[::-1], axis=1)
+        self.lap_scalar = lap = _empty_csr(np.count_nonzero(keep, axis=1), (nc, nc))
+        lap.indices[:], lap.data[:] = cols[keep], vals[keep]
         self._krylov = None
         self.operators = weakref.WeakValueDictionary()
 
@@ -193,6 +163,67 @@ class GridOperators:
         return total
 
 
+def _empty_csr(counts, shape):
+    """CSR matrix of ``shape`` whose row r has room for ``counts[r]``
+    entries, its indices and data left to fill; 32-bit indices where they
+    fit, as in SciPy's own conversions."""
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    nnz = int(indptr[-1])
+    idx = np.int32 if max(nnz, *shape) <= np.iinfo(np.int32).max else np.int64
+    return sp.csr_matrix((np.empty(nnz), np.empty(nnz, dtype=idx), indptr.astype(idx)),
+                         shape=shape)
+
+
+def _csr_from_stencils(stencils, shape):
+    """CSR matrix stacked from row blocks ``(cols, vals, keep)``: row r of
+    a block holds ``cols[m][r]`` with value ``vals[m][r]`` (or the scalar
+    ``vals[m]``) for each m in order if ``keep[r]``, and nothing otherwise.
+    Each column is gathered straight into the matrix's arrays."""
+    out = _empty_csr(np.concatenate([len(cols) * keep for cols, _, keep in stencils]), shape)
+    start = 0
+    for cols, vals, keep in stencils:
+        block = (np.count_nonzero(keep), len(cols))
+        stop = start + block[0] * block[1]
+        ind, dat = (x[start:stop].reshape(block) for x in (out.indices, out.data))
+        for m, (c, v) in enumerate(zip(cols, vals)):
+            ind[:, m] = c[keep]
+            dat[:, m] = v[keep] if np.ndim(v) else v
+        start = stop
+    return out
+
+
+def _stack_csr(pieces, shape):
+    """CSR matrix of ``shape`` from sparse pieces ``(M, row, col)``, each
+    with sorted rows, whose entries are scattered to (row, col) + their own
+    position.  Pieces that share rows are listed in column order, so every
+    row comes out sorted.  The list is emptied as the pieces are placed,
+    so each is freed after its last placement."""
+    counts = np.zeros(shape[0], dtype=np.int64)
+    for M, row, _ in pieces:
+        counts[row : row + M.shape[0]] += np.diff(M.indptr)
+    out = _empty_csr(counts, shape)
+    del counts
+    # the next free slot of each row; 64-bit, the index type of a scatter
+    cursor = out.indptr[:-1].astype(np.intp)
+    pieces.reverse()
+    while pieces:
+        M, row, col = pieces.pop()
+        # about 2^14 entries at a time, so the scatter indices stay small
+        step = max(1, (M.shape[0] << 14) // max(M.nnz, 1))
+        for lo in range(0, M.shape[0], step):
+            ptr = M.indptr[lo : lo + step + 1]
+            at = cursor[row + lo : row + lo + len(ptr) - 1]
+            n = np.diff(ptr)
+            dest = np.repeat(at - ptr[:-1], n)
+            dest += np.arange(ptr[0], ptr[-1])
+            out.indices[dest] = M.indices[ptr[0] : ptr[-1]] + col
+            out.data[dest] = M.data[ptr[0] : ptr[-1]]
+            at += n
+        del M
+    return out
+
+
 def grid_operators(domain):
     ops = getattr(domain, "_grid_ops", None)
     if ops is None:
@@ -222,10 +253,11 @@ class ConormalOperator:
     Viscous block (i, j) is ``D^T W_ij D`` with ``D = [dbar_0..2;
     dkap_0..2]``: ``W_ij`` carries ``h^3 a^{ab}_ij`` from the ``dbar_b``
     column to the ``dbar_a`` row and ``h^3 a^{aa}_ij`` on the ``dkap_a``
-    diagonal.  Only ``K`` keeps the viscous blocks; it is stacked one CSR
-    block row at a time, so no copy of all nine blocks is kept beside it.
-    Blocks with equal weights (the three diagonal blocks of an isotropic
-    tensor, the zero off-diagonal ones) are formed once.
+    diagonal.  Blocks with equal weights (the three diagonal blocks of an
+    isotropic tensor, the zero off-diagonal ones) are formed once.  K's
+    arrays are allocated once from the row counts of the distinct blocks,
+    B, C and E, and every piece is scattered into its rows; only ``K``
+    keeps the viscous blocks.
     """
 
     def __init__(self, domain, coeffs, c_s=DEFAULT_STAB):
@@ -244,53 +276,48 @@ class ConormalOperator:
         # left out, so K keeps the pattern of the sum of triple products.
         # Whether a term is zero is read from the codebook entries the cells
         # use, so a zero term costs no per-cell gather
-        cells = np.arange(nc)
+        cells, every_row = np.arange(nc), np.ones(nc, dtype=bool)
         terms = [(a, b, a, b) for a in range(DIM) for b in range(DIM)]
         terms += [(DIM + a, DIM + a, a, a) for a in range(DIM)]
         codebook = coeffs.tensors[np.unique(coeffs.index[flat])]
 
         def form(i, j):
-            w = [(h3 * coeffs.entry(a, b, i, j, flat), r * nc + cells, c * nc + cells)
-                 for r, c, a, b in terms if np.any(codebook[:, a, b, i, j])]
-            if not w:
+            # row block r of W holds, in every row, one entry per used term
+            # of that row at column c nc + cell, in column order
+            used = [[(c, a, b) for r2, c, a, b in terms
+                     if r2 == r and np.any(codebook[:, a, b, i, j])] for r in range(2 * DIM)]
+            if not any(used):
                 return sp.csr_matrix((nc, nc))
-            vals, rows, cols = map(np.concatenate, zip(*w))
-            W = sp.csr_matrix((vals, (rows, cols)), shape=(2 * DIM * nc,) * 2)
-            return ops.DT @ (W @ ops.D)
+            W = _csr_from_stencils([([c * nc + cells for c, _, _ in u],
+                                     [h3 * coeffs.entry(a, b, i, j, flat) for _, a, b in u],
+                                     every_row) for u in used], (2 * DIM * nc,) * 2)
+            # SpGEMM leaves each row unsorted and its arrays views of larger
+            # ones: one sorted copy keeps only the entries
+            return (ops.DT @ (W @ ops.D)).sorted_indices()
 
         # blocks whose weights agree on every used codebook entry are equal,
-        # so each distinct block is formed once and dropped after its last use
-        keys = {(i, j): codebook[:, :, :, i, j].tobytes()
-                for i in range(DIM) for j in range(DIM)}
-        uses = collections.Counter(keys.values())
-        formed = {}
+        # so each distinct block is formed once
+        distinct, pieces = {}, []
+        for i in range(DIM):
+            for j in range(DIM):
+                key = codebook[:, :, :, i, j].tobytes()
+                if key not in distinct:
+                    distinct[key] = form(i, j)
+                pieces.append((distinct[key], i * nc, j * nc))
+        del distinct
 
-        def block(i, j):
-            key = keys[i, j]
-            if key not in formed:
-                formed[key] = form(i, j)
-            uses[key] -= 1
-            return formed[key] if uses[key] else formed.pop(key)
-
-        div = [h3 * D for D in ops.dbar]
-        grad = [D.T.tocsr() for D in div]
-        E = [sp.csr_matrix((np.full(nc, h3), (np.full(nc, i), cells)), shape=(DIM, nc))
-             for i in range(DIM)]
-        self.B = sp.vstack(grad, format="csr")
+        self.B = sp.vstack([(h3 * D).T.tocsr() for D in ops.dbar], format="csr")
         self.C = (self.c_s * h * h) * ops.lap_scalar
-        self.E = sp.hstack(E, format="csr")
-        # stack K one CSR block row at a time, so only one row's viscous
-        # blocks live next to the finished rows; SpGEMM leaves the columns
-        # of a row unsorted, so sort each row block before the last stack
-        rows = [sp.hstack([block(i, j) for j in range(DIM)] + [grad[i], E[i].T.tocsr()],
-                          format="csr") for i in range(DIM)]
-        rows += [sp.hstack(div + [-self.C, sp.csr_matrix((nc, DIM))], format="csr"),
-                 sp.hstack(E + [sp.csr_matrix((DIM, nc + DIM))], format="csr")]
-        for row in rows:
-            row.sort_indices()
-        self.K = sp.vstack(rows, format="csr")
+        self.E = sp.csr_matrix((np.full(DIM * nc, h3), np.arange(DIM * nc),
+                                np.arange(0, DIM * nc + 1, nc)), shape=(DIM, DIM * nc))
+        # K's arrays are sized once from the row counts of every piece; each
+        # piece is then scattered into place and dropped after its last use
+        nu = DIM * nc
+        pieces += [(self.B, 0, nu), (self.E.T.tocsr(), 0, nu + nc),
+                   (self.B.T.tocsr(), nu, 0), (-self.C, nu, nu), (self.E, nu + nc, 0)]
+        self.K = _stack_csr(pieces, (nu + nc + DIM,) * 2)
         self.nc = nc
-        self.nu = DIM * nc
+        self.nu = nu
         self.ntot = self.K.shape[0]
         self._prec = None
         self._adjoint = None
