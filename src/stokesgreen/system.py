@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import copy
 import math
+import os
+import threading
 import time
 import weakref
 from dataclasses import dataclass, field as dc_field
@@ -31,6 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import get_blas_funcs, lstsq
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .coefficients import adjoint_field
 from .errors import CompatibilityError, GeometryError, SolverError
@@ -43,6 +46,10 @@ COMPAT_REL = 1e-10
 INNER_M = 40
 OUTER_K = 3
 EPS = np.finfo(float).eps
+# K products with at least this many stored entries run as two row blocks
+# on two threads; shorter ones stay serial (notes/decisions.md, "Long K
+# products run as two row blocks")
+SPLIT_NNZ = 3_000_000
 _axpy, _dot, _nrm2 = get_blas_funcs(("axpy", "dot", "nrm2"), dtype=np.float64)
 
 
@@ -462,13 +469,17 @@ class ConormalOperator:
         true residual is checked at each outer-cycle start; the outer
         budget is ``max_iter // (inner_m + 1)`` cycles.  K and the
         preconditioner are applied only through ``self.K`` and
-        ``self.preconditioner()``.  Iterations are preconditioner
-        applications.  Returns ``(x, info)``; ``info`` holds
-        ``iterations``, ``residual`` (the last cycle-start residual, so no
-        matvec recomputes it), ``history`` (the true relative residual at
-        each cycle start), ``cycles`` and the matvec and preconditioner
-        counts and seconds.  Raises SolverError on non-convergence,
-        carrying the residual reached.
+        ``self.preconditioner()``.  A CSR K of at least ``SPLIT_NNZ``
+        stored entries is applied as two row blocks on two threads when
+        the process may run on more than one CPU, with the same result
+        bit for bit.  Iterations are preconditioner applications.
+        Returns ``(x, info)``; ``info`` holds ``iterations``, ``residual``
+        (the last cycle-start residual, so no matvec recomputes it),
+        ``history`` (the true relative residual at each cycle start),
+        ``cycles`` and the matvec and preconditioner counts and seconds;
+        ``matvec_s`` (``SolveReport.matvec_s``) is the wall time of each
+        whole product, both blocks included.  Raises SolverError on
+        non-convergence, carrying the residual reached.
         """
         info = {"iterations": 0, "prec_s": 0.0, "matvecs": 0, "matvec_s": 0.0,
                 "cycles": 0, "history": []}
@@ -482,10 +493,11 @@ class ConormalOperator:
         inner_m = min(INNER_M, max(max_iter - 1, 1))
         max_cycles = max(max_iter // (inner_m + 1), 1)
         K, M = self.K, self.preconditioner()
+        product = _product(K)
 
         def matvec(v):
             t0 = time.perf_counter()
-            out = K @ v
+            out = product(v)
             info["matvec_s"] += time.perf_counter() - t0
             info["matvecs"] += 1
             return out
@@ -565,6 +577,154 @@ def shared_operator(domain, coeffs, c_s=DEFAULT_STAB):
                           and op.coeffs.lam == coeffs.lam):
         op = registry[key] = ConormalOperator(domain, coeffs, c_s)
     return op
+
+
+# ---------------------------------------------------------------------------
+# K products split across two threads
+
+
+def _cpus():
+    """The CPUs this process may run on."""
+    try:
+        return os.sched_getaffinity(0)
+    except AttributeError:  # no affinity call on this platform
+        return set(range(os.cpu_count() or 1))
+
+
+def _current_cpu():
+    """The CPU the calling thread last ran on, or None where the kernel
+    does not say (field 39 of ``/proc/thread-self/stat``)."""
+    try:
+        with open("/proc/thread-self/stat") as f:
+            return int(f.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+class _Job:
+    """One block of a split product, run by whichever thread claims it."""
+
+    __slots__ = ("run", "claim", "done", "error")
+
+    def __init__(self, run):
+        self.run = run
+        self.claim = threading.Lock()
+        self.done = threading.Event()
+        self.error = None
+
+
+class _Helper:
+    """The persistent thread that computes the second block of each split
+    product.
+
+    It is started by the first split product and pinned off the CPU of
+    the thread that started it: under a cpuset without load balancing a
+    new thread stays on its creator's CPU, and two blocks on one CPU take
+    as long as one product.  A job is claimed by whichever thread takes
+    its lock first, the helper when it wakes or the caller once its own
+    block is done, so a helper that is late or starved of its CPU never
+    holds the caller up, and products posted by several threads at once
+    each run whole.  A forked child gets a fresh, unstarted helper
+    (``os.register_at_fork``), so it never waits on its parent's thread.
+    """
+
+    def __init__(self):
+        self.wake = threading.Event()
+        self.job = None
+        self.thread = None
+        self.starting = threading.Lock()  # two first products start one thread
+
+    def _start(self):
+        cpus = _cpus() - {_current_cpu()}
+        self.thread = threading.Thread(target=self._loop, args=(cpus,),
+                                       name="stokesgreen-matvec", daemon=True)
+        self.thread.start()
+
+    def _loop(self, cpus):
+        try:
+            os.sched_setaffinity(0, cpus)
+        except (AttributeError, OSError, ValueError):  # left where it started
+            pass
+        while True:
+            self.wake.wait()
+            self.wake.clear()  # before the job is read, so no post is lost
+            _serve(self.job)
+
+    def run(self, mine, theirs):
+        """Run ``mine`` here and ``theirs`` on the helper, or here too if
+        the helper has not started it; an error of either is raised here."""
+        with self.starting:
+            if self.thread is None:
+                self._start()
+        job = self.job = _Job(theirs)
+        self.wake.set()
+        try:
+            mine()
+        finally:
+            taken_back = job.claim.acquire(blocking=False)
+            if not taken_back:
+                job.done.wait()
+            self.job = None  # K's arrays are not kept past the product
+        if taken_back:
+            theirs()
+        elif job.error is not None:
+            raise job.error
+
+
+def _serve(job):
+    # a function of its own, so no frame of the helper holds the job
+    # while it waits for the next
+    if job is not None and job.claim.acquire(blocking=False):
+        try:
+            job.run()
+        except BaseException as exc:  # raised again in the caller
+            job.error = exc
+        finally:
+            job.done.set()
+
+
+_HELPER = _Helper()
+
+
+def _fresh_helper():
+    global _HELPER
+    _HELPER = _Helper()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_helper)
+
+
+def _split_row(K):
+    """The row that splits K's stored entries in half."""
+    return int(np.searchsorted(K.indptr, K.nnz // 2))
+
+
+def _split_matvec(K, row, v):
+    """K @ v for a CSR ``K`` as the row blocks ``[0, row)``, computed
+    here, and ``[row, n)``, computed on the helper thread, written into
+    one output.  Each row is summed as SciPy's CSR product sums it, so
+    the result equals ``K @ v`` bit for bit."""
+    n, m = K.shape
+    indptr, indices, data = K.indptr, K.indices, K.data
+    out = np.zeros(n)
+
+    def block(a, b):
+        return lambda: _csr_matvec(b - a, m, indptr[a : b + 1], indices, data, v, out[a:b])
+
+    _HELPER.run(block(0, row), block(row, n))
+    return out
+
+
+def _product(K):
+    """K·v for the Krylov loop: split in two row blocks when K is a CSR
+    matrix (float64, as assembled) of at least ``SPLIT_NNZ`` stored
+    entries and the process may run on more than one CPU, otherwise
+    ``K @ v``."""
+    if sp.issparse(K) and K.format == "csr" and K.nnz >= SPLIT_NNZ and len(_cpus()) > 1:
+        row = _split_row(K)
+        return lambda v: _split_matvec(K, row, v)
+    return lambda v: K @ v
 
 
 def _lgmres_cycle(x, beta, ptol, workspace, kept, inner_m, matvec, psolve):

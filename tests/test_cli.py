@@ -1,10 +1,14 @@
 import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stokesgreen import __main__ as sg_main
 from stokesgreen import acceptance, cli, system
 from stokesgreen.acceptance import AcceptanceSuite, CriterionResult
 from stokesgreen.cli import (
@@ -23,6 +27,7 @@ from stokesgreen.errors import ConfigError
 from conftest import random_elliptic_tensor
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 BASE = {
     "domain": {"kind": "box", "extent": [1.0, 1.0, 1.0], "h": 0.125},
     "coefficients": {"kind": "identity"},
@@ -314,6 +319,48 @@ def test_every_estimate_runner_end_to_end(tmp_path):
             assert got_lines[0] == want_lines[0] and got_lines[-1] == want_lines[-1]
         else:
             assert got == want
+
+
+def _env_without_thread_counts():
+    env = {k: v for k, v in os.environ.items() if k not in sg_main.THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
+
+
+@pytest.mark.parametrize("entry", [
+    ["-m", "stokesgreen"],
+    # what the console script runs
+    ["-c", "import sys; from stokesgreen.__main__ import main; sys.exit(main())"],
+])
+def test_command_writes_golden_reports_without_thread_settings(entry, tmp_path):
+    # the command pins one BLAS thread itself, so the 16^3 golden files,
+    # written with one thread, come out byte for byte with the thread
+    # variables unset, whatever the machine's default
+    proc = subprocess.run(
+        [sys.executable, *entry, "run", "--config", str(DATA / "reports16.json"),
+         "--out", str(tmp_path)],
+        env=_env_without_thread_counts(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode in (0, 1), proc.stderr
+    for name in ("reports.csv", "reports.txt"):
+        assert (tmp_path / name).read_bytes() == (DATA / name.replace(".", "16.")).read_bytes()
+
+
+def test_command_keeps_a_callers_thread_count(monkeypatch):
+    for var in sg_main.THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert sg_main.main(["run"]) == 2  # a config error, after the defaults are set
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+    assert os.environ["OMP_NUM_THREADS"] == os.environ["MKL_NUM_THREADS"] == "1"
+
+
+def test_library_import_sets_no_thread_count_and_loads_no_numpy():
+    code = (f"import os, sys, stokesgreen; "
+            f"print(len(set(os.environ) & {set(sg_main.THREAD_VARS)}), 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=_env_without_thread_counts(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 def test_bogovskii_row_flags_a_missed_divergence_target(tmp_path, monkeypatch):

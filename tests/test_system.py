@@ -1,5 +1,9 @@
 import gc
 import itertools
+import multiprocessing
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
 
@@ -912,6 +916,179 @@ def test_repeat_solve_allocates_no_krylov_basis(box16, monkeypatch):
     monkeypatch.setattr(ConormalOperator, "solve", recording)
     solve_divergence(domain, np.where(domain.cell_centers[:, 0] < 0.5, 1.0, -1.0))
     assert used and all(ws is work for ws in used)
+
+
+# -- K products split across two threads ---------------------------------------
+
+
+@pytest.fixture
+def helper(monkeypatch):
+    """A fresh, unstarted helper in place of the process's one."""
+    fresh = system._Helper()
+    monkeypatch.setattr(system, "_HELPER", fresh)
+    return fresh
+
+
+def _split_case(kind):
+    if kind == "tensor-box16":
+        domain = build_box((1.0, 1.0, 1.0), 1.0 / 16)
+        return ConormalOperator(domain, _full_tensor_field(domain, 23)).K
+    domain = _l_shape(12)
+    return ConormalOperator(domain, constant_identity(domain)).K
+
+
+@pytest.mark.parametrize("kind", ["tensor-box16", "lshape12"])
+def test_split_product_equals_csr_product(kind, helper):
+    K = _split_case(kind)
+    row = system._split_row(K)
+    assert 0 < row < K.shape[0]
+    assert abs(K.indptr[row] - K.nnz / 2) <= np.diff(K.indptr).max()
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        v = rng.standard_normal(K.shape[1])
+        assert np.array_equal(system._split_matvec(K, row, v), K @ v)
+    assert helper.thread.is_alive()
+    # neither thread keeps K's arrays once the product is returned
+    data = weakref.ref(K.data)
+    del K
+    for _ in range(100):
+        if data() is None:
+            break
+        time.sleep(0.01)
+    assert data() is None
+
+
+def test_caller_computes_a_held_back_helper_block(helper, monkeypatch):
+    K = _split_case("lshape12")
+    monkeypatch.setattr(system._Helper, "_start", lambda self: None)  # never runs
+    ran_on, got, csr_matvec = [], [], system._csr_matvec
+
+    def recorded(*args):
+        ran_on.append(threading.current_thread())
+        return csr_matvec(*args)
+
+    monkeypatch.setattr(system, "_csr_matvec", recorded)
+    v = np.random.default_rng(6).standard_normal(K.shape[1])
+    # a caller that waited for the held-back helper would hang: run it on
+    # a thread of its own, so that fails the test instead
+    caller = threading.Thread(target=lambda: got.append(
+        system._split_matvec(K, system._split_row(K), v)), daemon=True)
+    caller.start()
+    caller.join(30)
+    assert not caller.is_alive()
+    assert np.array_equal(got[0], K @ v)
+    assert ran_on == [caller] * 2
+
+
+def test_helper_error_reaches_the_caller(helper, monkeypatch):
+    K = _split_case("lshape12")
+    claimed, raised_on, csr_matvec = threading.Event(), [], system._csr_matvec
+
+    def failing(n_row, n_col, indptr, *rest):
+        if indptr[0] == 0:  # the caller's block waits for the helper's
+            assert claimed.wait(30)
+            return csr_matvec(n_row, n_col, indptr, *rest)
+        claimed.set()
+        raised_on.append(threading.current_thread())
+        raise ValueError("helper block failed")
+
+    monkeypatch.setattr(system, "_csr_matvec", failing)
+    with pytest.raises(ValueError, match="helper block failed"):
+        system._split_matvec(K, system._split_row(K), np.ones(K.shape[1]))
+    assert raised_on == [helper.thread]
+    monkeypatch.setattr(system, "_csr_matvec", csr_matvec)
+    v = np.ones(K.shape[1])
+    assert np.array_equal(system._split_matvec(K, system._split_row(K), v), K @ v)
+
+
+def test_split_products_from_many_threads_run_each_block_once(helper):
+    # csr_matvec adds into its output, so a block run twice, or by two
+    # threads at once, would not equal K @ v
+    K = _split_case("lshape12")
+    row, bad = system._split_row(K), []
+    vs = np.random.default_rng(9).standard_normal((4, K.shape[1]))
+    want = [K @ v for v in vs]
+
+    def worker(k):
+        for _ in range(50):
+            if not np.array_equal(system._split_matvec(K, row, vs[k]), want[k]):
+                bad.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker, args=(k,), daemon=True) for k in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers) and bad == []
+    assert helper.thread.is_alive()
+
+
+def _green_column_solve(op, f_seed=41):
+    f = np.zeros((3, op.domain.ncells))
+    f[0] = mollified_rhs(op.domain, (0.5, 0.5, 0.5), 2.0 / 16).phi
+    f[1] = np.random.default_rng(f_seed).standard_normal(op.domain.ncells)
+    return op.solve(assemble(op, f=f).rhs)
+
+
+def test_split_solve_is_bit_identical_to_serial(box16, helper, monkeypatch):
+    op = ConormalOperator(box16[0], _full_tensor_field(box16[0], 29))
+    serial, serial_info = _green_column_solve(op)
+    assert helper.thread is None  # 16^3 K is far below the threshold
+    monkeypatch.setattr(system, "SPLIT_NNZ", 0)
+    monkeypatch.setattr(system.os, "sched_getaffinity", lambda pid: {0, 1})
+    split, split_info = _green_column_solve(op)
+    assert helper.thread is not None
+    assert np.array_equal(split, serial)
+    assert split_info["history"] == serial_info["history"]
+
+
+def test_one_cpu_starts_no_helper(box16, helper, monkeypatch):
+    monkeypatch.setattr(system, "SPLIT_NNZ", 0)
+    monkeypatch.setattr(system.os, "sched_getaffinity", lambda pid: {0})
+    _, info = _green_column_solve(ConormalOperator(box16[0], box16[1]))
+    assert info["matvecs"] > 0 and helper.thread is None
+
+
+def test_non_csr_K_runs_as_one_product(box16, helper, monkeypatch):
+    # perfbench's tracer replaces K by a LinearOperator that counts products
+    monkeypatch.setattr(system, "SPLIT_NNZ", 0)
+    monkeypatch.setattr(system.os, "sched_getaffinity", lambda pid: {0, 1})
+    op = ConormalOperator(box16[0], box16[1])
+    K, applied = op.K, [0]
+
+    def counted(v):
+        applied[0] += 1
+        return K @ v
+
+    op.K = spla.LinearOperator(K.shape, matvec=counted, dtype=float)
+    _, info = _green_column_solve(op)
+    assert info["matvecs"] == applied[0] > 0 and helper.thread is None
+
+
+def test_forked_child_starts_its_own_helper(helper):
+    K = _split_case("lshape12")
+    row, v = system._split_row(K), np.random.default_rng(8).standard_normal(K.shape[1])
+    system._split_matvec(K, row, v)
+    parent_thread = helper.thread
+    assert parent_thread.is_alive()
+
+    def child():
+        # the parent's helper thread does not exist here
+        assert system._HELPER is not helper and system._HELPER.thread is None
+        assert np.array_equal(system._split_matvec(K, row, v), K @ v)
+        assert system._HELPER.thread is not parent_thread
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(60)
+    if proc.is_alive():
+        proc.kill()
+    assert proc.exitcode == 0
 
 
 # -- divergence equation -------------------------------------------------------
