@@ -169,7 +169,7 @@ class GreenApprox:
             SolveReport(
                 iterations=r["iterations"], residual=r["residual"],
                 grad_norm=r.get("grad_norm", 0.0), p_norm=r.get("p_norm", 0.0),
-                energy_quotient=None, stab_slack=r["stab_slack"], method="import",
+                energy_quotient=None, stab_slack=r["stab_slack"],
             )
             for r in meta["solver"]
         ]

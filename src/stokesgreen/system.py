@@ -48,7 +48,8 @@ OUTER_K = 3
 EPS = np.finfo(float).eps
 # K products with at least this many stored entries run as two row blocks
 # on two threads; shorter ones stay serial (notes/decisions.md, "Long K
-# products run as two row blocks")
+# products run as two row blocks").  The same helper thread also forms
+# viscous blocks during assembly ("Distinct blocks formed on two threads")
 SPLIT_NNZ = 3_000_000
 _axpy, _dot, _nrm2 = get_blas_funcs(("axpy", "dot", "nrm2"), dtype=np.float64)
 
@@ -261,10 +262,11 @@ class ConormalOperator:
     dkap_0..2]``: ``W_ij`` carries ``h^3 a^{ab}_ij`` from the ``dbar_b``
     column to the ``dbar_a`` row and ``h^3 a^{aa}_ij`` on the ``dkap_a``
     diagonal.  Blocks with equal weights (the three diagonal blocks of an
-    isotropic tensor, the zero off-diagonal ones) are formed once.  K's
-    arrays are allocated once from the row counts of the distinct blocks,
-    B, C and E, and every piece is scattered into its rows; only ``K``
-    keeps the viscous blocks.
+    isotropic tensor, the zero off-diagonal ones) are formed once, on this
+    thread and the helper when two or more are nonzero.  K's arrays are
+    allocated once from the row counts of the distinct blocks, B, C and E,
+    and every piece is scattered into its rows; only ``K`` keeps the
+    viscous blocks.
     """
 
     def __init__(self, domain, coeffs, c_s=DEFAULT_STAB):
@@ -303,14 +305,29 @@ class ConormalOperator:
             return (ops.DT @ (W @ ops.D)).sorted_indices()
 
         # blocks whose weights agree on every used codebook entry are equal,
-        # so each distinct block is formed once
-        distinct, pieces = {}, []
-        for i in range(DIM):
-            for j in range(DIM):
-                key = codebook[:, :, :, i, j].tobytes()
-                if key not in distinct:
-                    distinct[key] = form(i, j)
-                pieces.append((distinct[key], i * nc, j * nc))
+        # so each distinct block is formed once, from its first (i, j).  With
+        # two or more nonzero ones and a second CPU, this thread and the
+        # helper each take the next unformed block until none is left
+        keys = {(i, j): codebook[:, :, :, i, j].tobytes() for i in range(DIM) for j in range(DIM)}
+        first = {}
+        for ij, key in keys.items():
+            first.setdefault(key, ij)
+        todo, distinct = list(first.items())[::-1], {}
+
+        def take():
+            while True:
+                try:
+                    key, (i, j) = todo.pop()
+                except IndexError:
+                    return
+                distinct[key] = form(i, j)
+
+        nonzero = sum(np.any(codebook[..., i, j]) for i, j in first.values())
+        if nonzero > 1 and len(_cpus()) > 1:
+            _HELPER.run(take, take)
+        else:
+            take()
+        pieces = [(distinct[key], i * nc, j * nc) for (i, j), key in keys.items()]
         del distinct
 
         self.B = sp.vstack([(h3 * D).T.tocsr() for D in ops.dbar], format="csr")
@@ -615,29 +632,32 @@ class _Job:
 
 class _Helper:
     """The persistent thread that computes the second block of each split
-    product.
+    product, and takes distinct viscous blocks beside the caller while an
+    operator is assembled.
 
-    It is started by the first split product and pinned off the CPU of
-    the thread that started it: under a cpuset without load balancing a
-    new thread stays on its creator's CPU, and two blocks on one CPU take
-    as long as one product.  A job is claimed by whichever thread takes
-    its lock first, the helper when it wakes or the caller once its own
-    block is done, so a helper that is late or starved of its CPU never
-    holds the caller up, and products posted by several threads at once
-    each run whole.  A forked child gets a fresh, unstarted helper
-    (``os.register_at_fork``), so it never waits on its parent's thread.
+    It is started by the first job and pinned off the CPU of the thread
+    that started it: under a cpuset without load balancing a new thread
+    stays on its creator's CPU, and two blocks on one CPU take as long as
+    one product.  A job is claimed by whichever thread takes its lock
+    first, the helper when it wakes or the caller once its own block is
+    done, so a helper that is late never holds the caller up, and jobs
+    posted by several threads at once each run whole.  A helper that
+    loses its CPU mid-job holds the caller up by what it has claimed: one
+    row block of a product, or one viscous block of an assembly.  A
+    forked child gets a fresh, unstarted helper (``os.register_at_fork``),
+    so it never waits on its parent's thread.
     """
 
     def __init__(self):
         self.wake = threading.Event()
         self.job = None
         self.thread = None
-        self.starting = threading.Lock()  # two first products start one thread
+        self.starting = threading.Lock()  # two first jobs start one thread
 
     def _start(self):
         cpus = _cpus() - {_current_cpu()}
         self.thread = threading.Thread(target=self._loop, args=(cpus,),
-                                       name="stokesgreen-matvec", daemon=True)
+                                       name="stokesgreen-helper", daemon=True)
         self.thread.start()
 
     def _loop(self, cpus):
@@ -822,7 +842,6 @@ class SolveReport:
     p_norm: float
     energy_quotient: float | None
     stab_slack: float
-    method: str
     # the Krylov run: true relative residual at each outer-cycle start (the
     # last is ``residual``), outer cycles, K matvecs and the seconds spent
     # in K and in the preconditioner
@@ -924,7 +943,6 @@ def solve_conormal(system, tol=DEFAULT_TOL, max_iter=None, x0=None):
         p_norm=pn,
         energy_quotient=quotient,
         stab_slack=slack,
-        method="lgmres",
         **info,
     )
     return Field(u=u, p=p), report

@@ -638,7 +638,6 @@ def test_masked_preconditioner_spd_and_h_independent():
         f[0] = mollified_rhs(domain, (0.3, 0.3, 0.3), 2.0 / n).phi
         op = ConormalOperator(domain, constant_identity(domain))
         _, report = solve_conormal(assemble(op, f=f))
-        assert report.method == "lgmres"
         steps.append(report.iterations)
     assert abs(steps[1] - steps[0]) <= 0.1 * min(steps)
 
@@ -1001,6 +1000,90 @@ def test_helper_error_reaches_the_caller(helper, monkeypatch):
     assert np.array_equal(system._split_matvec(K, system._split_row(K), v), K @ v)
 
 
+def _two_branch_case(kind):
+    if kind.startswith("box16-tensor"):
+        domain = build_box((1.0, 1.0, 1.0), 1.0 / 16)
+        coeffs = _full_tensor_field(domain, 31)
+        return domain, (adjoint_field(coeffs) if kind.endswith("adjoint") else coeffs)
+    return _reuse_case(kind)
+
+
+@pytest.mark.parametrize("kind", ["tensor-box8", "slab-tensor", "aniso-box-tensor",
+                                  "box16-tensor", "box16-tensor-adjoint"])
+def test_blocks_formed_on_one_or_two_cpus_give_the_same_K(kind, helper, monkeypatch):
+    # with a second CPU the caller and the helper each take the next
+    # unformed block; K is array-equal to the one-CPU, one-thread build
+    domain, coeffs = _two_branch_case(kind)
+    Ks = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(system.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        Ks.append(ConormalOperator(domain, coeffs).K)
+        assert (helper.thread is not None) == (len(cpus) > 1)
+    assert_same_arrays(Ks[1], Ks[0])
+    op = ConormalOperator(domain, coeffs)
+    assert_same_arrays(Ks[0], per_block_reference_K(op))
+
+
+def test_helper_block_error_reaches_the_caller(helper, monkeypatch):
+    domain = build_box((1.0, 1.0, 1.0), 1.0 / 8)
+    coeffs = _full_tensor_field(domain, 11)
+    monkeypatch.setattr(system.os, "sched_getaffinity", lambda pid: {0, 1})
+    caller, failed, raised_on = threading.current_thread(), threading.Event(), []
+    entry = CoefficientField.entry
+
+    def failing(self, a, b, i, j, cells):
+        if threading.current_thread() is caller:
+            # the caller's first block waits, so the helper takes the rest
+            assert failed.wait(30)
+        elif (i, j) == (2, 2):
+            raised_on.append(threading.current_thread())
+            failed.set()
+            raise ValueError("helper block failed")
+        return entry(self, a, b, i, j, cells)
+
+    monkeypatch.setattr(CoefficientField, "entry", failing)
+    with pytest.raises(ValueError, match="helper block failed"):
+        ConormalOperator(domain, coeffs)
+    assert raised_on == [helper.thread]
+    monkeypatch.setattr(CoefficientField, "entry", entry)
+    K = _split_case("lshape12")
+    v = np.ones(K.shape[1])
+    assert np.array_equal(system._split_matvec(K, system._split_row(K), v), K @ v)
+    op = ConormalOperator(domain, coeffs)
+    assert_same_arrays(op.K, per_block_reference_K(op))
+
+
+def test_operators_assembled_by_many_threads_equal_the_reference(helper, monkeypatch):
+    # four threads assemble at once, so their block jobs overwrite each
+    # other on the one helper; a block formed twice, lost or stored under
+    # another operator's key would change some K
+    monkeypatch.setattr(system.os, "sched_getaffinity", lambda pid: {0, 1})
+    domain = build_box((1.0, 1.0, 1.0), 1.0 / 8)
+    fields = [_full_tensor_field(domain, 40 + k) for k in range(4)]
+    want = [per_block_reference_K(ConormalOperator(domain, c)) for c in fields]
+    bad = []
+
+    def worker(k):
+        for _ in range(10):
+            K = ConormalOperator(domain, fields[k]).K
+            if not all(np.array_equal(getattr(K, a), getattr(want[k], a))
+                       for a in ("indptr", "indices", "data")):
+                bad.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker, args=(k,), daemon=True) for k in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers) and bad == []
+    assert helper.thread.is_alive()
+
+
 def test_split_products_from_many_threads_run_each_block_once(helper):
     # csr_matvec adds into its output, so a block run twice, or by two
     # threads at once, would not equal K @ v
@@ -1035,8 +1118,12 @@ def _green_column_solve(op, f_seed=41):
     return op.solve(assemble(op, f=f).rhs)
 
 
-def test_split_solve_is_bit_identical_to_serial(box16, helper, monkeypatch):
+def test_split_solve_is_bit_identical_to_serial(box16, monkeypatch):
     op = ConormalOperator(box16[0], _full_tensor_field(box16[0], 29))
+    # construction may start the helper to form blocks, so a fresh one
+    # shows that the serial solve makes no split product
+    helper = system._Helper()
+    monkeypatch.setattr(system, "_HELPER", helper)
     serial, serial_info = _green_column_solve(op)
     assert helper.thread is None  # 16^3 K is far below the threshold
     monkeypatch.setattr(system, "SPLIT_NNZ", 0)
