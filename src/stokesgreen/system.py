@@ -22,6 +22,8 @@ component.
 from __future__ import annotations
 
 import copy
+import ctypes
+import functools
 import math
 import os
 import threading
@@ -49,7 +51,7 @@ EPS = np.finfo(float).eps
 # K products with at least this many stored entries run as two row blocks
 # on two threads; shorter ones stay serial (notes/decisions.md, "Long K
 # products run as two row blocks").  The same helper thread also forms
-# viscous blocks during assembly ("Distinct blocks formed on two threads")
+# and places viscous blocks during assembly ("K placed block by block")
 SPLIT_NNZ = 3_000_000
 _axpy, _dot, _nrm2 = get_blas_funcs(("axpy", "dot", "nrm2"), dtype=np.float64)
 
@@ -201,35 +203,108 @@ def _csr_from_stencils(stencils, shape):
     return out
 
 
-def _stack_csr(pieces, shape):
-    """CSR matrix of ``shape`` from sparse pieces ``(M, row, col)``, each
-    with sorted rows, whose entries are scattered to (row, col) + their own
-    position.  Pieces that share rows are listed in column order, so every
-    row comes out sorted.  The list is emptied as the pieces are placed,
-    so each is freed after its last placement."""
-    counts = np.zeros(shape[0], dtype=np.int64)
-    for M, row, _ in pieces:
-        counts[row : row + M.shape[0]] += np.diff(M.indptr)
-    out = _empty_csr(counts, shape)
-    del counts
-    # the next free slot of each row; 64-bit, the index type of a scatter
-    cursor = out.indptr[:-1].astype(np.intp)
-    pieces.reverse()
-    while pieces:
-        M, row, col = pieces.pop()
+def _stream_csr(form, blocks, classes, fixed, nc, shape):
+    """K of ``shape`` from its distinct viscous blocks and the ``fixed``
+    pieces ``(M, row, col)``, each block placed as soon as it is formed.
+
+    ``blocks`` maps the key of each distinct nonzero block to the (i, j)
+    that use it, ``form(i, j)`` forms it (nc x nc, sorted rows), and
+    ``classes`` maps each key to its class: blocks of one class have the
+    same row counts, so one ``indptr``.  The first block of each class is
+    formed and held, and K's arrays are allocated once from every piece's
+    row counts before the other blocks exist (the two phases of Gustavson's
+    SpGEMM, ACM TOMS 4, 1978).  Then this thread and, when a block is left
+    to form and the process may run on a second CPU, the helper each take
+    the next job: a held block, a block to form, or a fixed piece.  A block
+    is placed at every (i, j) that uses it and dropped; pieces fill
+    disjoint slots, so no lock is taken.  A formed block whose row counts
+    are not its class's raises ``_RowCountMismatch``.
+    """
+    # every piece's (row, col, indptr); a class's indptr outlives its block
+    held, indptr = {}, {}
+    for key, uses in blocks.items():
+        if classes[key] not in indptr:
+            # a copy keeps only the entries of SpGEMM's longer arrays
+            held[key] = M = form(*uses[0]).copy()
+            indptr[classes[key]] = M.indptr
+    layout = [(i * nc, j * nc, indptr[classes[key]]) for key, uses in blocks.items()
+              for i, j in uses]
+    layout += [(row, col, M.indptr) for M, row, col in fixed]
+    total = np.zeros(shape[0], dtype=np.int64)
+    for row, _, ptr in layout:
+        total[row : row + len(ptr) - 1] += np.diff(ptr)
+    K = _empty_csr(total, shape)
+    del total
+
+    def put(M, row, col):
+        # each row's first slot: K's row start plus the entries of the
+        # pieces to its left, computed here and dropped after the placement
+        m = M.shape[0]
+        start = K.indptr[row : row + m].astype(np.intp)
+        for r, c, ptr in layout:
+            lo, hi = max(r, row), min(r + len(ptr) - 1, row + m)
+            if c < col and lo < hi:
+                start[lo - row : hi - row] += np.diff(ptr[lo - r : hi - r + 1])
+        start -= M.indptr[:-1]
         # about 2^14 entries at a time, so the scatter indices stay small
-        step = max(1, (M.shape[0] << 14) // max(M.nnz, 1))
-        for lo in range(0, M.shape[0], step):
+        step = max(1, (m << 14) // max(M.nnz, 1))
+        for lo in range(0, m, step):
             ptr = M.indptr[lo : lo + step + 1]
-            at = cursor[row + lo : row + lo + len(ptr) - 1]
-            n = np.diff(ptr)
-            dest = np.repeat(at - ptr[:-1], n)
+            dest = np.repeat(start[lo : lo + step], np.diff(ptr))
             dest += np.arange(ptr[0], ptr[-1])
-            out.indices[dest] = M.indices[ptr[0] : ptr[-1]] + col
-            out.data[dest] = M.data[ptr[0] : ptr[-1]]
-            at += n
-        del M
-    return out
+            K.indices[dest] = M.indices[ptr[0] : ptr[-1]] + col
+            K.data[dest] = M.data[ptr[0] : ptr[-1]]
+
+    def block(key):
+        M = held.pop(key, None)
+        if M is None:
+            M = form(*blocks[key][0])
+            if not np.array_equal(M.indptr, indptr[classes[key]]):
+                todo.clear()  # the other thread stops after its current job
+                raise _RowCountMismatch(key)
+        for i, j in blocks[key]:
+            put(M, i * nc, j * nc)
+
+    # popped from the end: the held blocks first, so they are freed before
+    # more blocks are formed, and the short fixed pieces last
+    todo = [functools.partial(put, *piece) for piece in fixed]
+    todo += [functools.partial(block, key) for key in reversed(blocks) if key not in held]
+    todo += [functools.partial(block, key) for key in reversed(held)]
+
+    def take():
+        while True:
+            try:
+                job = todo.pop()
+            except IndexError:
+                return
+            job()
+
+    if len(held) < len(blocks) and len(_cpus()) > 1:
+        _HELPER.run(take, take)
+        # the blocks the helper formed were freed into its own malloc arena
+        _malloc_trim(0)
+    else:
+        take()
+    return K
+
+
+class _RowCountMismatch(Exception):
+    """The key of a formed viscous block whose row counts are not its
+    class's."""
+
+
+def _libc_malloc_trim():
+    """glibc's ``malloc_trim``, which returns the free pages of every malloc
+    arena to the system, or a no-op where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return lambda pad: 0
+    trim.argtypes = [ctypes.c_size_t]
+    return trim
+
+
+_malloc_trim = _libc_malloc_trim()
 
 
 def grid_operators(domain):
@@ -262,11 +337,14 @@ class ConormalOperator:
     dkap_0..2]``: ``W_ij`` carries ``h^3 a^{ab}_ij`` from the ``dbar_b``
     column to the ``dbar_a`` row and ``h^3 a^{aa}_ij`` on the ``dkap_a``
     diagonal.  Blocks with equal weights (the three diagonal blocks of an
-    isotropic tensor, the zero off-diagonal ones) are formed once, on this
-    thread and the helper when two or more are nonzero.  K's arrays are
-    allocated once from the row counts of the distinct blocks, B, C and E,
-    and every piece is scattered into its rows; only ``K`` keeps the
-    viscous blocks.
+    isotropic tensor) are formed once, and zero blocks not at all.  K's
+    arrays are allocated once, after only the first block of each zero
+    pattern is formed: its row counts serve every block of that pattern.
+    Each block is then formed, on this thread and the helper when a second
+    CPU is free, placed straight into K and dropped, so K never sits beside
+    more than one block per thread; only ``K`` keeps the viscous blocks.
+    The free heap pages left by blocks formed on the helper are returned
+    to the system after the assembly (``malloc_trim``).
     """
 
     def __init__(self, domain, coeffs, c_s=DEFAULT_STAB):
@@ -295,51 +373,43 @@ class ConormalOperator:
             # of that row at column c nc + cell, in column order
             used = [[(c, a, b) for r2, c, a, b in terms
                      if r2 == r and np.any(codebook[:, a, b, i, j])] for r in range(2 * DIM)]
-            if not any(used):
-                return sp.csr_matrix((nc, nc))
-            W = _csr_from_stencils([([c * nc + cells for c, _, _ in u],
-                                     [h3 * coeffs.entry(a, b, i, j, flat) for _, a, b in u],
-                                     every_row) for u in used], (2 * DIM * nc,) * 2)
-            # SpGEMM leaves each row unsorted and its arrays views of larger
-            # ones: one sorted copy keeps only the entries
-            return (ops.DT @ (W @ ops.D)).sorted_indices()
+            WD = _csr_from_stencils([([c * nc + cells for c, _, _ in u],
+                                      [h3 * coeffs.entry(a, b, i, j, flat) for _, a, b in u],
+                                      every_row) for u in used], (2 * DIM * nc,) * 2) @ ops.D
+            # SpGEMM leaves each row unsorted; the block is placed and
+            # dropped, so its rows are sorted where they are, with no copy
+            M = ops.DT @ WD
+            M.sort_indices()
+            return M
 
         # blocks whose weights agree on every used codebook entry are equal,
-        # so each distinct block is formed once, from its first (i, j).  With
-        # two or more nonzero ones and a second CPU, this thread and the
-        # helper each take the next unformed block until none is left
-        keys = {(i, j): codebook[:, :, :, i, j].tobytes() for i in range(DIM) for j in range(DIM)}
-        first = {}
-        for ij, key in keys.items():
-            first.setdefault(key, ij)
-        todo, distinct = list(first.items())[::-1], {}
-
-        def take():
-            while True:
-                try:
-                    key, (i, j) = todo.pop()
-                except IndexError:
-                    return
-                distinct[key] = form(i, j)
-
-        nonzero = sum(np.any(codebook[..., i, j]) for i, j in first.values())
-        if nonzero > 1 and len(_cpus()) > 1:
-            _HELPER.run(take, take)
-        else:
-            take()
-        pieces = [(distinct[key], i * nc, j * nc) for (i, j), key in keys.items()]
-        del distinct
+        # so each distinct nonzero block is formed once and placed at every
+        # (i, j) that uses it; zero blocks have no entries.  A block's pattern
+        # follows from which of its weights are zero on each codebook entry,
+        # its class, unless nonzero terms cancel exactly.  A block that turns
+        # out to differ from its class becomes a class of its own (its key,
+        # which no zero pattern equals) and K is laid out again
+        blocks = {}
+        for i in range(DIM):
+            for j in range(DIM):
+                if np.any(codebook[..., i, j]):
+                    blocks.setdefault(codebook[..., i, j].tobytes(), []).append((i, j))
+        classes = {key: (codebook[..., i, j] != 0).tobytes()
+                   for key, ((i, j), *_) in blocks.items()}
 
         self.B = sp.vstack([(h3 * D).T.tocsr() for D in ops.dbar], format="csr")
         self.C = (self.c_s * h * h) * ops.lap_scalar
         self.E = sp.csr_matrix((np.full(DIM * nc, h3), np.arange(DIM * nc),
                                 np.arange(0, DIM * nc + 1, nc)), shape=(DIM, DIM * nc))
-        # K's arrays are sized once from the row counts of every piece; each
-        # piece is then scattered into place and dropped after its last use
         nu = DIM * nc
-        pieces += [(self.B, 0, nu), (self.E.T.tocsr(), 0, nu + nc),
-                   (self.B.T.tocsr(), nu, 0), (-self.C, nu, nu), (self.E, nu + nc, 0)]
-        self.K = _stack_csr(pieces, (nu + nc + DIM,) * 2)
+        fixed = [(self.B, 0, nu), (self.E.T.tocsr(), 0, nu + nc), (self.B.T.tocsr(), nu, 0),
+                 (-self.C, nu, nu), (self.E, nu + nc, 0)]
+        while True:
+            try:
+                self.K = _stream_csr(form, blocks, classes, fixed, nc, (nu + nc + DIM,) * 2)
+                break
+            except _RowCountMismatch as exc:
+                classes[exc.args[0]] = exc.args[0]
         self.nc = nc
         self.nu = nu
         self.ntot = self.K.shape[0]
@@ -493,13 +563,15 @@ class ConormalOperator:
         Returns ``(x, info)``; ``info`` holds ``iterations``, ``residual``
         (the last cycle-start residual, so no matvec recomputes it),
         ``history`` (the true relative residual at each cycle start),
-        ``cycles`` and the matvec and preconditioner counts and seconds;
+        ``cycles``, the matvec and preconditioner counts and seconds, and
+        ``krylov_s``, the seconds of the solve spent outside both;
         ``matvec_s`` (``SolveReport.matvec_s``) is the wall time of each
         whole product, both blocks included.  Raises SolverError on
         non-convergence, carrying the residual reached.
         """
+        t_solve = time.perf_counter()
         info = {"iterations": 0, "prec_s": 0.0, "matvecs": 0, "matvec_s": 0.0,
-                "cycles": 0, "history": []}
+                "krylov_s": 0.0, "cycles": 0, "history": []}
         bnorm = np.linalg.norm(rhs)
         if bnorm == 0:
             info.update(residual=0.0, history=[0.0])
@@ -557,6 +629,9 @@ class ConormalOperator:
             # the adaptive inner tolerance of SciPy's lgmres
             ptol_max = min(1.0, 1.5 * ptol_max) if res > ptol else max(1e-16, 0.25 * ptol_max)
         info["residual"] = residual = history[-1]
+        # the rest of the solve: Gram-Schmidt, rotations and dx
+        info["krylov_s"] = max(0.0, time.perf_counter() - t_solve
+                               - info["matvec_s"] - info["prec_s"])
         if not residual <= tol:  # a NaN residual fails too
             raise SolverError(
                 f"lgmres stalled at relative residual {residual:.3e} "
@@ -632,8 +707,9 @@ class _Job:
 
 class _Helper:
     """The persistent thread that computes the second block of each split
-    product, and takes distinct viscous blocks beside the caller while an
-    operator is assembled.
+    product, and forms and places viscous blocks beside the caller while
+    an operator is assembled.  The blocks it forms are freed into its own
+    malloc arena, whose free pages the assembly returns to the system.
 
     It is started by the first job and pinned off the CPU of the thread
     that started it: under a cpuset without load balancing a new thread
@@ -643,7 +719,7 @@ class _Helper:
     done, so a helper that is late never holds the caller up, and jobs
     posted by several threads at once each run whole.  A helper that
     loses its CPU mid-job holds the caller up by what it has claimed: one
-    row block of a product, or one viscous block of an assembly.  A
+    row block of a product, or one viscous block or piece of K.  A
     forked child gets a fresh, unstarted helper (``os.register_at_fork``),
     so it never waits on its parent's thread.
     """
@@ -688,7 +764,10 @@ class _Helper:
         if taken_back:
             theirs()
         elif job.error is not None:
-            raise job.error
+            try:
+                raise job.error
+            finally:
+                job = None  # the traceback keeps this frame: no cycle through it
 
 
 def _serve(job):
@@ -701,6 +780,7 @@ def _serve(job):
             job.error = exc
         finally:
             job.done.set()
+            job = None  # as in _Helper.run: the error's traceback keeps this frame
 
 
 _HELPER = _Helper()
@@ -844,12 +924,13 @@ class SolveReport:
     stab_slack: float
     # the Krylov run: true relative residual at each outer-cycle start (the
     # last is ``residual``), outer cycles, K matvecs and the seconds spent
-    # in K and in the preconditioner
+    # in K, in the preconditioner and in the rest of the solve
     history: list = dc_field(default_factory=list)
     cycles: int = 0
     matvecs: int = 0
     matvec_s: float = 0.0
     prec_s: float = 0.0
+    krylov_s: float = 0.0
 
 
 @dataclass
