@@ -314,6 +314,14 @@ class ExperimentConfig:
                 raise ConfigError(f"solver.{key} must be positive")
         if self.preset is not None and self.preset not in PRESET_SIZES:
             raise ConfigError(f"unknown preset {self.preset!r}")
+        if not (isinstance(self.out, str) and self.out):
+            raise ConfigError("'out' must be a non-empty path")
+        budget = self.memory_budget_mb
+        if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int)
+                                   or budget <= 0):
+            raise ConfigError("'memory_budget_mb' must be a positive integer or null")
+        if self.fixture_dir is not None and not isinstance(self.fixture_dir, str):
+            raise ConfigError("'fixture_dir' must be a path or null")
 
     def canonical(self):
         keys = sorted(self.__dataclass_fields__)

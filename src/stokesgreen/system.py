@@ -26,9 +26,9 @@ import ctypes
 import functools
 import math
 import os
-import threading
 import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -280,7 +280,7 @@ def _stream_csr(form, blocks, classes, fixed, nc, shape):
             job()
 
     if len(held) < len(blocks) and len(_cpus()) > 1:
-        _HELPER.run(take, take)
+        _both(take, take)
         # the blocks the helper formed were freed into its own malloc arena
         _malloc_trim(0)
     else:
@@ -693,106 +693,57 @@ def _current_cpu():
         return None
 
 
-class _Job:
-    """One block of a split product, run by whichever thread claims it."""
-
-    __slots__ = ("run", "claim", "done", "error")
-
-    def __init__(self, run):
-        self.run = run
-        self.claim = threading.Lock()
-        self.done = threading.Event()
-        self.error = None
-
-
-class _Helper:
-    """The persistent thread that computes the second block of each split
-    product, and forms and places viscous blocks beside the caller while
-    an operator is assembled.  The blocks it forms are freed into its own
-    malloc arena, whose free pages the assembly returns to the system.
-
-    It is started by the first job and pinned off the CPU of the thread
-    that started it: under a cpuset without load balancing a new thread
-    stays on its creator's CPU, and two blocks on one CPU take as long as
-    one product.  A job is claimed by whichever thread takes its lock
-    first, the helper when it wakes or the caller once its own block is
-    done, so a helper that is late never holds the caller up, and jobs
-    posted by several threads at once each run whole.  A helper that
-    loses its CPU mid-job holds the caller up by what it has claimed: one
-    row block of a product, or one viscous block or piece of K.  A
-    forked child gets a fresh, unstarted helper (``os.register_at_fork``),
-    so it never waits on its parent's thread.
-    """
-
-    def __init__(self):
-        self.wake = threading.Event()
-        self.job = None
-        self.thread = None
-        self.starting = threading.Lock()  # two first jobs start one thread
-
-    def _start(self):
-        cpus = _cpus() - {_current_cpu()}
-        self.thread = threading.Thread(target=self._loop, args=(cpus,),
-                                       name="stokesgreen-helper", daemon=True)
-        self.thread.start()
-
-    def _loop(self, cpus):
-        try:
-            os.sched_setaffinity(0, cpus)
-        except (AttributeError, OSError, ValueError):  # left where it started
-            pass
-        while True:
-            self.wake.wait()
-            self.wake.clear()  # before the job is read, so no post is lost
-            _serve(self.job)
-
-    def run(self, mine, theirs):
-        """Run ``mine`` here and ``theirs`` on the helper, or here too if
-        the helper has not started it; an error of either is raised here."""
-        with self.starting:
-            if self.thread is None:
-                self._start()
-        job = self.job = _Job(theirs)
-        self.wake.set()
-        try:
-            mine()
-        finally:
-            taken_back = job.claim.acquire(blocking=False)
-            if not taken_back:
-                job.done.wait()
-            self.job = None  # K's arrays are not kept past the product
-        if taken_back:
-            theirs()
-        elif job.error is not None:
-            try:
-                raise job.error
-            finally:
-                job = None  # the traceback keeps this frame: no cycle through it
+def _pin_off(cpu):
+    """Pin the calling thread, the helper, off ``cpu``, the CPU of the
+    thread whose post started it: under a cpuset without load balancing a
+    new thread stays on its creator's CPU, and two blocks on one CPU take
+    as long as one product."""
+    try:
+        os.sched_setaffinity(0, _cpus() - {cpu})
+    except (AttributeError, OSError, ValueError):
+        pass  # left where it started; raised, it would break the pool
 
 
-def _serve(job):
-    # a function of its own, so no frame of the helper holds the job
-    # while it waits for the next
-    if job is not None and job.claim.acquire(blocking=False):
-        try:
-            job.run()
-        except BaseException as exc:  # raised again in the caller
-            job.error = exc
-        finally:
-            job.done.set()
-            job = None  # as in _Helper.run: the error's traceback keeps this frame
-
-
-_HELPER = _Helper()
-
-
-def _fresh_helper():
-    global _HELPER
-    _HELPER = _Helper()
-
-
+# "helper": the one-worker pool of ``_both``, built at the first post; a
+# forked child starts with none, so it never waits on its parent's thread
+_POOL = {}
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_fresh_helper)
+    os.register_at_fork(after_in_child=_POOL.clear)
+
+
+def _both(mine, theirs):
+    """Run ``mine`` here and ``theirs`` on the helper, or here too if the
+    helper has not started it; an error of either is raised here.
+
+    The helper computes the second block of each split product, and forms
+    and places viscous blocks beside the caller while an operator is
+    assembled.  The blocks it forms are freed into its own malloc arena,
+    whose free pages the assembly returns to the system.  A helper that is
+    late never holds the caller up, and jobs posted by several threads at
+    once each run whole; one that loses its CPU mid-job holds the caller up
+    by what it has started: one row block of a product, or one viscous
+    block or piece of K.
+    """
+    pool = _POOL.get("helper")
+    if pool is None:
+        # two first posts may each build a pool: setdefault keeps one, and
+        # the other, never posted to, starts no thread
+        pool = _POOL.setdefault("helper", ThreadPoolExecutor(
+            1, "stokesgreen-helper", initializer=_pin_off, initargs=(_current_cpu(),)))
+    job = pool.submit(theirs)
+    try:
+        mine()
+    finally:
+        taken_back = job.cancel()  # the helper has not started it
+        error = None if taken_back else job.exception()  # waits for the helper
+        job = None  # it holds the error, whose traceback will hold this frame
+    if taken_back:
+        theirs()
+    elif error is not None:
+        try:
+            raise error
+        finally:
+            error = None  # so no cycle runs through this frame
 
 
 def _split_row(K):
@@ -812,7 +763,7 @@ def _split_matvec(K, row, v):
     def block(a, b):
         return lambda: _csr_matvec(b - a, m, indptr[a : b + 1], indices, data, v, out[a:b])
 
-    _HELPER.run(block(0, row), block(row, n))
+    _both(block(0, row), block(row, n))
     return out
 
 

@@ -76,6 +76,10 @@ MALFORMED = [
      "solver": {"method": "direct"}},  # never read by any solve
     {"domain": {"kind": "box", "extent": [1, 1, 1], "h": 0.125}, "solver": {"max_iter": 5}},
     {"domain": {"kind": "box", "extent": [1, 1, 1], "h": 0.125}, "solver": {"c_s": 0}},
+    {"domain": {"kind": "box", "extent": [1, 1, 1], "h": 0.125}, "out": 5},
+    {"domain": {"kind": "box", "extent": [1, 1, 1], "h": 0.125},
+     "memory_budget_mb": "big", "preset": "smoke"},
+    {"domain": {"kind": "box", "extent": [1, 1, 1], "h": 0.125}, "fixture_dir": 7},
 ]
 
 

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import multiprocessing
+import os
 import sys
 import threading
 import time
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from stokesgreen import system
 from stokesgreen.coefficients import (
@@ -963,12 +965,25 @@ def test_repeat_solve_allocates_no_krylov_basis(box16, monkeypatch):
 # -- K products split across two threads ---------------------------------------
 
 
+class _HelperView:
+    """The helper's worker thread, or None before the first post."""
+
+    @property
+    def thread(self):
+        pool = system._POOL.get("helper")
+        return next(iter(pool._threads), None) if pool is not None else None
+
+
 @pytest.fixture
-def helper(monkeypatch):
+def helper():
     """A fresh, unstarted helper in place of the process's one."""
-    fresh = system._Helper()
-    monkeypatch.setattr(system, "_HELPER", fresh)
-    return fresh
+    kept = system._POOL.pop("helper", None)
+    yield _HelperView()
+    fresh = system._POOL.pop("helper", None)
+    if fresh is not None:
+        fresh.shutdown(wait=False)
+    if kept is not None:
+        system._POOL["helper"] = kept
 
 
 def _split_case(kind):
@@ -1002,7 +1017,8 @@ def test_split_product_equals_csr_product(kind, helper):
 
 def test_caller_computes_a_held_back_helper_block(helper, monkeypatch):
     K = _split_case("lshape12")
-    monkeypatch.setattr(system._Helper, "_start", lambda self: None)  # never runs
+    held = threading.Event()
+    monkeypatch.setattr(system, "_pin_off", lambda cpu: held.wait(60))  # never serves
     ran_on, got, csr_matvec = [], [], system._csr_matvec
 
     def recorded(*args):
@@ -1016,7 +1032,10 @@ def test_caller_computes_a_held_back_helper_block(helper, monkeypatch):
     caller = threading.Thread(target=lambda: got.append(
         system._split_matvec(K, system._split_row(K), v)), daemon=True)
     caller.start()
-    caller.join(30)
+    try:
+        caller.join(30)
+    finally:
+        held.set()
     assert not caller.is_alive()
     assert np.array_equal(got[0], K @ v)
     assert ran_on == [caller] * 2
@@ -1040,6 +1059,120 @@ def test_helper_error_reaches_the_caller(helper, monkeypatch):
     assert raised_on == [helper.thread]
     monkeypatch.setattr(system, "_csr_matvec", csr_matvec)
     v = np.ones(K.shape[1])
+    assert np.array_equal(system._split_matvec(K, system._split_row(K), v), K @ v)
+
+
+def test_caller_error_waits_for_the_helper_block(helper, monkeypatch):
+    # the caller's block fails while the helper holds its own: the error is
+    # raised once the helper's block is done, and the caller runs no block
+    # in its place
+    K = _split_case("lshape12")
+    started, ran_on, done, csr_matvec = threading.Event(), [], [], system._csr_matvec
+
+    def failing(n_row, n_col, indptr, *rest):
+        ran_on.append(threading.current_thread())
+        if indptr[0] == 0:
+            assert started.wait(30)
+            raise ValueError("caller block failed")
+        started.set()
+        time.sleep(0.2)
+        done.append(csr_matvec(n_row, n_col, indptr, *rest))
+
+    monkeypatch.setattr(system, "_csr_matvec", failing)
+    with pytest.raises(ValueError, match="caller block failed"):
+        system._split_matvec(K, system._split_row(K), np.ones(K.shape[1]))
+    assert done == [None]
+    assert len(ran_on) == 2 and set(ran_on) == {threading.current_thread(), helper.thread}
+    monkeypatch.setattr(system, "_csr_matvec", csr_matvec)
+    v = np.random.default_rng(10).standard_normal(K.shape[1])
+    assert np.array_equal(system._split_matvec(K, system._split_row(K), v), K @ v)
+
+
+def test_two_first_posts_start_one_helper(helper, monkeypatch):
+    # both threads read their CPU, the step before the pool is built, at
+    # the same time, so each builds one; only one worker starts
+    K = _split_case("lshape12")
+    row, vs = system._split_row(K), np.random.default_rng(11).standard_normal((2, K.shape[1]))
+    both_read, current_cpu, pin_off = threading.Barrier(2), system._current_cpu, system._pin_off
+    started, got = [], {}
+
+    def reading(*args):
+        try:
+            both_read.wait(5)
+        except threading.BrokenBarrierError:
+            pass
+        return current_cpu(*args)
+
+    def pinning(cpu):
+        started.append(threading.current_thread())
+        pin_off(cpu)
+
+    monkeypatch.setattr(system, "_current_cpu", reading)
+    monkeypatch.setattr(system, "_pin_off", pinning)
+    posts = [threading.Thread(target=lambda k=k: got.setdefault(k, system._split_matvec(K, row, vs[k])),
+                              daemon=True) for k in range(2)]
+    for t in posts:
+        t.start()
+    for t in posts:
+        t.join(30)
+    assert not any(t.is_alive() for t in posts)
+    assert all(np.array_equal(got[k], K @ vs[k]) for k in range(2))
+    assert started == [helper.thread]  # the initializer runs once per worker
+
+
+def _on_helper(helper, job):
+    """``job()``, run by the helper while the caller waits for it."""
+    got, done = [], threading.Event()
+    system._both(lambda: done.wait(30),
+                 lambda: got.append((threading.current_thread(), job())) or done.set())
+    assert [thread for thread, _ in got] == [helper.thread]
+    return got[0][1]
+
+
+@pytest.mark.skipif(len(system._cpus()) < 2, reason="needs a second CPU")
+def test_helper_runs_off_the_callers_cpu(helper, monkeypatch):
+    cpus, current_cpu, seen = system._cpus(), system._current_cpu, []
+    monkeypatch.setattr(system, "_current_cpu", lambda: seen.append(current_cpu()) or seen[-1])
+    affinity = _on_helper(helper, lambda: os.sched_getaffinity(0))
+    assert len(seen) == 1 and affinity == cpus - {seen[0]}
+
+
+def test_helper_that_cannot_pin_still_serves(helper, monkeypatch):
+    K = _split_case("lshape12")
+    refused = []
+
+    def refusing(pid, cpus):
+        refused.append(cpus)
+        raise OSError("affinity refused")
+
+    monkeypatch.setattr(system.os, "sched_setaffinity", refusing)
+    _on_helper(helper, lambda: None)
+    row, rng = system._split_row(K), np.random.default_rng(12)
+    for _ in range(3):
+        v = rng.standard_normal(K.shape[1])
+        assert np.array_equal(system._split_matvec(K, row, v), K @ v)
+    assert len(refused) == 1
+    _on_helper(helper, lambda: None)
+
+
+@st.composite
+def _csr_matrices(draw):
+    n, m = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    entries = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1),
+                                      st.floats(-1e6, 1e6, allow_nan=False)),
+                            max_size=3 * n))
+    rows, cols, vals = (np.array(a) for a in zip(*entries)) if entries else ([], [], [])
+    K = sp.csr_matrix((vals, (rows, cols)), shape=(n, m), dtype=float)
+    index = draw(st.sampled_from([np.int32, np.int64]))
+    K.indptr, K.indices = K.indptr.astype(index), K.indices.astype(index)
+    return K
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_csr_matrices(), st.integers(0, 2**32 - 1))
+def test_split_product_of_any_csr_matrix_is_bit_identical(K, seed):
+    # empty rows, no stored entries, one row, int32 and int64 indices
+    v = np.random.default_rng(seed).standard_normal(K.shape[1])
     assert np.array_equal(system._split_matvec(K, system._split_row(K), v), K @ v)
 
 
@@ -1227,12 +1360,11 @@ def _green_column_solve(op, f_seed=41):
     return op.solve(assemble(op, f=f).rhs)
 
 
-def test_split_solve_is_bit_identical_to_serial(box16, monkeypatch):
+def test_split_solve_is_bit_identical_to_serial(box16, helper, monkeypatch):
     op = ConormalOperator(box16[0], _full_tensor_field(box16[0], 29))
     # construction may start the helper to form blocks, so a fresh one
     # shows that the serial solve makes no split product
-    helper = system._Helper()
-    monkeypatch.setattr(system, "_HELPER", helper)
+    system._POOL.pop("helper", None)
     serial, serial_info = _green_column_solve(op)
     assert helper.thread is None  # 16^3 K is far below the threshold
     monkeypatch.setattr(system, "SPLIT_NNZ", 0)
@@ -1275,9 +1407,9 @@ def test_forked_child_starts_its_own_helper(helper):
 
     def child():
         # the parent's helper thread does not exist here
-        assert system._HELPER is not helper and system._HELPER.thread is None
+        assert "helper" not in system._POOL and helper.thread is None
         assert np.array_equal(system._split_matvec(K, row, v), K @ v)
-        assert system._HELPER.thread is not parent_thread
+        assert helper.thread not in (None, parent_thread)
 
     proc = multiprocessing.get_context("fork").Process(target=child)
     proc.start()
