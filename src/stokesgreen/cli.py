@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
@@ -239,11 +240,44 @@ PRESET_CONFIGS = {
 }
 
 
+def _number(v, kind=(int, float), above=-math.inf):  # finite, above the bound, not a bool
+    return isinstance(v, kind) and not isinstance(v, bool) and above < v < math.inf
+
+
+def _nonempty_list(v, is_entry):
+    return isinstance(v, list) and len(v) > 0 and all(map(is_entry, v))
+
+
+# one row per ExperimentConfig field: (is_valid, what a valid value is); the
+# keys inside 'domain' and 'coefficients' are checked by their builders
+_FIELDS = {
+    "domain": (lambda v: isinstance(v, dict) and "kind" in v, "a mapping with a 'kind'"),
+    "coefficients": (lambda v: isinstance(v, dict) and "kind" in v, "a mapping with a 'kind'"),
+    "poles": (lambda v: v in ("auto", "auto-boundary") or _nonempty_list(
+        v, lambda p: isinstance(p, (list, tuple)) and len(p) == 3 and all(map(_number, p))),
+        "'auto', 'auto-boundary' or a non-empty list of finite 3-vectors"),
+    "eps_sweep": (lambda v: v == "auto" or _nonempty_list(v, lambda e: _number(e, above=0)),
+                  "'auto' or a non-empty list of positive lengths"),
+    "solver": (lambda v: isinstance(v, dict) and set(v) <= {"tol", "c_s"}
+               and all(_number(x, above=0) for x in v.values()),
+               "a mapping of 'tol' and 'c_s' to positive numbers"),
+    "estimates": (lambda v: isinstance(v, list) and all(
+        isinstance(e, str) and e in ESTIMATES for e in v), f"a list of ids from {VALID_ESTIMATES}"),
+    "R0": (lambda v: _number(v, above=0) and v <= 1, "a number in (0, 1]"),
+    "out": (lambda v: isinstance(v, str) and v != "", "a non-empty path"),
+    "seed": (lambda v: _number(v, int, -1), "a non-negative integer"),
+    "memory_budget_mb": (lambda v: v is None or _number(v, int, 0), "a positive integer or null"),
+    "fixture_dir": (lambda v: v is None or isinstance(v, str), "a path or null"),
+    "preset": (lambda v: v is None or (isinstance(v, str) and v in PRESET_SIZES),
+               f"null or one of {sorted(PRESET_SIZES)}"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment description; all defaults centralized here."""
 
-    domain: dict
+    domain: dict = None
     coefficients: dict = dc_field(default_factory=lambda: {"kind": "identity"})
     poles: object = "auto"
     eps_sweep: object = "auto"
@@ -264,8 +298,6 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "domain" not in raw:
-            raise ConfigError("config requires a 'domain' descriptor")
         cfg = cls(**raw)
         cfg.validate()
         return cfg
@@ -274,54 +306,15 @@ class ExperimentConfig:
     def from_file(cls, path):
         try:
             raw = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(raw)
 
     def validate(self):
-        if not isinstance(self.domain, dict) or "kind" not in self.domain:
-            raise ConfigError("'domain' must be a mapping with a 'kind'")
-        if not isinstance(self.coefficients, dict) or "kind" not in self.coefficients:
-            raise ConfigError("'coefficients' must be a mapping with a 'kind'")
-        for eid in self.estimates:
-            if eid not in VALID_ESTIMATES:
-                raise ConfigError(
-                    f"unknown estimate id {eid!r}; valid: {VALID_ESTIMATES}"
-                )
-        if self.poles != "auto" and self.poles != "auto-boundary":
-            if not isinstance(self.poles, list) or not all(
-                isinstance(p, (list, tuple)) and len(p) == 3 for p in self.poles
-            ):
-                raise ConfigError("'poles' must be 'auto' or a list of 3-vectors")
-        if self.eps_sweep != "auto":
-            if not isinstance(self.eps_sweep, list) or not all(
-                isinstance(e, (int, float)) and e > 0 for e in self.eps_sweep
-            ):
-                raise ConfigError("'eps_sweep' must be 'auto' or positive lengths")
-        if not (isinstance(self.R0, (int, float)) and 0 < self.R0 <= 1):
-            raise ConfigError("'R0' must lie in (0, 1]")
-        if not isinstance(self.seed, int):
-            raise ConfigError("'seed' must be an integer")
-        if not isinstance(self.solver, dict):
-            raise ConfigError("'solver' must be a mapping")
-        unknown = set(self.solver) - {"tol", "c_s"}
-        if unknown:
-            raise ConfigError(f"unknown solver keys: {sorted(unknown)}; valid: ['c_s', 'tol']")
-        for key, value in self.solver.items():
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ConfigError(f"solver.{key} must be positive")
-        if self.preset is not None and self.preset not in PRESET_SIZES:
-            raise ConfigError(f"unknown preset {self.preset!r}")
-        if not (isinstance(self.out, str) and self.out):
-            raise ConfigError("'out' must be a non-empty path")
-        budget = self.memory_budget_mb
-        if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int)
-                                   or budget <= 0):
-            raise ConfigError("'memory_budget_mb' must be a positive integer or null")
-        if self.fixture_dir is not None and not isinstance(self.fixture_dir, str):
-            raise ConfigError("'fixture_dir' must be a path or null")
+        for name, (is_valid, want) in _FIELDS.items():
+            value = getattr(self, name)
+            if not is_valid(value):
+                raise ConfigError(f"'{name}' must be {want}, got {value!r}")
 
     def canonical(self):
         keys = sorted(self.__dataclass_fields__)
@@ -343,6 +336,15 @@ def _auto_poles(domain, kinds=("interior", "boundary")):
              np.array([4.5 * h, (shape[1] // 2 + 0.5) * h, (shape[2] // 2 + 0.5) * h]))
         )
     return poles
+
+
+def _build_fields(cfg, stage=lambda name, build: build()):
+    """Domain and coefficients of a config; a descriptor a builder rejects is a config error."""
+    try:
+        domain = stage("domain", lambda: build_domain(cfg.domain))
+        return domain, stage("coefficients", lambda: build_coefficients(domain, cfg.coefficients))
+    except StokesGreenError as exc:
+        raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
 
 
 class Pipeline:
@@ -378,10 +380,7 @@ class Pipeline:
 
     def build(self):
         cfg = self.config
-        self.domain = self._stage("domain", lambda: build_domain(cfg.domain))
-        self.coeffs = self._stage(
-            "coefficients", lambda: build_coefficients(self.domain, cfg.coefficients)
-        )
+        self.domain, self.coeffs = _build_fields(cfg, self._stage)
         ok, worst = validate_ellipticity(self.coeffs, trials=16, seed=cfg.seed)
         if not ok:
             raise ConfigError(
@@ -481,12 +480,8 @@ def run_experiment(config):
 def verify_fixture(config):
     """Re-check a stored Green export against its invariants."""
     fdir = Path(config.fixture_dir)
-    cfg_path = fdir / "config.json"
-    if not cfg_path.exists():
-        raise ConfigError(f"fixture dir {fdir} has no config.json")
-    stored = ExperimentConfig.from_dict(json.loads(cfg_path.read_text()))
-    domain = build_domain(stored.domain)
-    coeffs = build_coefficients(domain, stored.coefficients)
+    stored = ExperimentConfig.from_file(fdir / "config.json")
+    domain, coeffs = _build_fields(stored)
     exports = sorted(fdir.glob("green_*.bin"))
     if not exports:
         raise ConfigError(f"fixture dir {fdir} has no green exports")

@@ -134,10 +134,6 @@ class CoefficientField:
         idx = self.index if flat_ids is None else self.index[flat_ids]
         return col[idx]
 
-    def tensor_at(self, flat_ids):
-        """Full tensors at the given bounding-box flat cell ids."""
-        return self.tensors[self.index[flat_ids]]
-
     def is_self_adjoint(self):
         adj = self.tensors.transpose(0, 2, 1, 4, 3)
         return bool(np.array_equal(adj, self.tensors))
@@ -370,6 +366,6 @@ def build_coefficients(domain, descriptor):
             )
         if kind == "file":
             return CoefficientField.import_file(descriptor["path"])
-    except KeyError as exc:
-        raise ValidationError(f"coefficients descriptor missing field {exc}") from exc
+    except (LookupError, TypeError, ValueError, ArithmeticError, OSError) as exc:
+        raise ValidationError(f"coefficients descriptor field missing or invalid: {exc!r}") from exc
     raise ValidationError(f"unknown coefficients kind {kind!r}")

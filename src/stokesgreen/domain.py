@@ -136,14 +136,6 @@ class VoxelDomain:
         return self._boundary_faces
 
     @property
-    def boundary_face_normals(self):
-        """Outward unit normal per boundary face, shape (nfaces, 3)."""
-        cells, axes, orients = self.boundary_faces
-        nu = np.zeros((len(cells), DIM))
-        nu[np.arange(len(cells)), axes] = orients
-        return nu
-
-    @property
     def boundary_face_centroids(self):
         cells, axes, orients = self.boundary_faces
         centers = self.cell_centers[cells]
@@ -213,8 +205,8 @@ def _cells_from_extent(extent, h):
     extent = np.asarray(extent, dtype=float)
     if extent.shape != (DIM,) or np.any(extent <= 0):
         raise GeometryError(f"extent must be 3 positive lengths, got {extent}")
-    if not h > 0:
-        raise GeometryError(f"cell width must be positive, got {h}")
+    if isinstance(h, bool) or not h > 0:
+        raise GeometryError(f"cell width must be a positive number, got {h}")
     n = extent / h
     n_round = np.rint(n)
     if np.any(n_round < 1) or np.any(np.abs(n - n_round) > 1e-3 * n_round):
@@ -364,6 +356,6 @@ def build_domain(descriptor):
             return build_voxel_ball(descriptor["radius"], descriptor["h"])
         if kind == "file":
             return VoxelDomain.import_mask(descriptor["path"])
-    except KeyError as exc:
-        raise GeometryError(f"domain descriptor missing field {exc}") from exc
+    except (LookupError, TypeError, ValueError, ArithmeticError, OSError) as exc:
+        raise GeometryError(f"domain descriptor field missing or invalid: {exc!r}") from exc
     raise GeometryError(f"unknown domain kind {kind!r}")

@@ -162,14 +162,6 @@ def fit_power_law(samples):
     return float(coef[0]), float(coef[1]), resid
 
 
-def distribution_by_sorting(values, thresholds, h):
-    """Exact level-set measures |{|v| > t}| via a sorted copy (oracle)."""
-    v = np.sort(np.abs(np.asarray(values, dtype=float)))
-    t = np.asarray(thresholds, dtype=float)
-    counts = len(v) - np.searchsorted(v, t, side="right")
-    return counts * h**3
-
-
 # ---------------------------------------------------------------------------
 # estimate measurements
 

@@ -391,9 +391,6 @@ class EpsilonConvergenceTable:
     greens: list
     monotone_annulus: bool
 
-    def annulus_diffs(self):
-        return [r.diff_l2_annulus for r in self.rows]
-
 
 def epsilon_convergence(domain, coeffs, y, eps_list, R, tol=DEFAULT_TOL, operator=None):
     """Cauchy table for the eps sweep of approximated Green functions.

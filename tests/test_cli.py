@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stokesgreen import __main__ as sg_main
 from stokesgreen import acceptance, cli, system
@@ -80,6 +81,7 @@ MALFORMED = [
     {"domain": {"kind": "box", "extent": [1, 1, 1], "h": 0.125},
      "memory_budget_mb": "big", "preset": "smoke"},
     {"domain": {"kind": "box", "extent": [1, 1, 1], "h": 0.125}, "fixture_dir": 7},
+    {"domain": {"kind": "box", "extent": [1, 1, 1], "h": 0.125}, "poles": [["a", "b", "c"]]},
 ]
 
 
@@ -98,6 +100,110 @@ def test_malformed_configs_exit_code_2(tmp_path):
     broken.write_text("{ not json")
     assert main(["run", "--config", str(broken)]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+# every field of the config, and the keys inside 'domain', 'solver' and
+# 'coefficients' that the 8^3 decay config sets, each set to every value below
+PROBE_KEYS = [*ExperimentConfig.__dataclass_fields__, "domain.kind", "domain.extent",
+              "domain.h", "solver.tol", "solver.c_s", "coefficients.kind"]
+PROBE_VALUES = ["x", -1, 0, 1e9, None, [], {}, [1, 2], True, {"kind": "nope"},
+                ["a", "b", "c"], float("nan")]
+# the only probe cases that are valid configs; the 8^3 decay fit has too few
+# radii (exit 1), and c_s = 1e9 stalls the solver (exit 3)
+PROBE_VALID = {("eps_sweep", "[1, 2]"), ("estimates", "[]"), ("solver", "{}"),
+               ("seed", "0"), ("memory_budget_mb", "null"), ("fixture_dir", '"x"'),
+               ("fixture_dir", "null"), ("preset", "null"), ("out", '"x"'),
+               ("solver.tol", "1000000000.0"), ("solver.c_s", "1000000000.0")}
+
+
+def _run_config(path, raw):
+    path.write_text(json.dumps(raw))
+    return main(["run", "--config", str(path)])
+
+
+def test_malformed_field_probe_exits_2_and_never_raises(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where a relative 'out' lands
+    codes = {}
+    for key in PROBE_KEYS:
+        for value in PROBE_VALUES:
+            raw = dict(BASE, estimates=["decay"], out=str(tmp_path / "out"),
+                       solver={"tol": 1e-9, "c_s": 0.1})
+            head, _, leaf = key.rpartition(".")
+            if head:
+                raw[head] = dict(raw[head], **{leaf: value})
+            else:
+                raw[key] = value
+            codes[key, json.dumps(value)] = _run_config(tmp_path / "probe.json", raw)
+    valid = {case: code for case, code in codes.items() if case in PROBE_VALID}
+    assert len(codes) == 18 * 12 and len(valid) == len(PROBE_VALID)
+    assert {case for case, code in codes.items() if code != 2} == PROBE_VALID
+    assert set(valid.values()) <= {0, 1, 3}
+
+
+def test_malformed_descriptors_exit_2(tmp_path):
+    # each builder's own errors, and a missing file, are config errors
+    missing = str(tmp_path / "missing.bin")
+    box = BASE["domain"]
+    for domain, coefficients in [
+        ({"kind": "file", "path": missing}, {"kind": "identity"}),
+        (box, {"kind": "file", "path": missing}),
+        ({"kind": "lshape", "extent": [1, 1, 1], "notch": 5, "h": 0.125}, {"kind": "identity"}),
+        (box, {"kind": "layered", "breaks": [-1.0, 0.5], "scales": [1.0], "lam": 0.5}),
+        ({"kind": "ball", "radius": 0.25, "h": 0.125}, {"kind": "identity"}),  # below 4h
+    ]:
+        raw = dict(BASE, domain=domain, coefficients=coefficients, out=str(tmp_path / "out"))
+        assert _run_config(tmp_path / "bad.json", raw) == 2, raw
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=3)
+    | st.sampled_from([-1, 0, 0.1, 0.25, 0.5, 1, 2, float("nan"), float("inf")]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=4)
+_DESCRIPTORS = {
+    "domain": [BASE["domain"],
+               {"kind": "lshape", "extent": [1, 1, 1], "notch": [[0.5, 0.5, 0], [1, 1, 1]],
+                "h": 0.125},
+               {"kind": "ball", "radius": 0.5, "h": 0.125}],
+    "coefficients": [{"kind": "identity"},
+                     {"kind": "layered", "axis": 0, "breaks": [-1.0, 0.5],
+                      "scales": [1.0, 0.5], "lam": 0.5},
+                     {"kind": "checkerboard", "axis": 1, "period": 0.25, "scale_a": 1.0,
+                      "scale_b": 0.5, "lam": 0.5}],
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_any_descriptor_value_gives_an_exit_code(tmp_path_factory, data):
+    # no sampled number is above 2 or a positive one below 0.1, so every grid
+    # has at most 32 cells a side
+    part = data.draw(st.sampled_from(sorted(_DESCRIPTORS)))
+    descriptor = dict(data.draw(st.sampled_from(_DESCRIPTORS[part])))
+    descriptor[data.draw(st.sampled_from(sorted(descriptor)))] = data.draw(_JSON)
+    tmp = tmp_path_factory.mktemp("descriptor")
+    raw = dict(BASE, out=str(tmp / "out"), **{part: descriptor})
+    assert _run_config(tmp / "config.json", raw) in (0, 1, 2, 3)
+
+
+def test_corrupt_fixture_config_exits_2(tmp_path):
+    fdir = tmp_path / "fixture"
+    fdir.mkdir()
+    path = tmp_path / "verify.json"
+    path.write_text(json.dumps(dict(BASE, fixture_dir=str(fdir), out=str(tmp_path / "out"))))
+    for stored in ("{ broken", json.dumps(dict(BASE, domain={"kind": "cube"}))):
+        (fdir / "config.json").write_text(stored)
+        assert main(["verify", "--config", str(path)]) == 2
+
+
+def test_valid_configs_keep_their_digest():
+    # measured before the field table replaced the chain of checks
+    raws = {"reports16": json.loads((DATA / "reports16.json").read_text()),
+            **{name: dict(raw, preset=name) for name, raw in PRESET_CONFIGS.items()}}
+    digests = {name: ExperimentConfig.from_dict(raw).digest() for name, raw in raws.items()}
+    assert digests == {"reports16": "7c8c720f271cb9c5", "smoke": "a4a440a08feccef6",
+                       "standard": "f9c84cc303879e59", "deep": "119c694392dd1655"}
 
 
 # -- pipeline runs -----------------------------------------------------------------

@@ -204,13 +204,3 @@ def test_ball_query_validation():
         BallQuery((0.5, 0.5, 0.5), 0.0)
     with pytest.raises(GeometryError):
         BallQuery((0.5, 0.5), 0.1)
-
-
-def test_boundary_normals_are_outward_units():
-    dom = build_box((1.0, 1.0, 1.0), 0.25)
-    nu = dom.boundary_face_normals
-    assert np.allclose(np.linalg.norm(nu, axis=1), 1.0)
-    # stepping h/2 along the normal from the face centroid leaves the domain
-    outside_probe = dom.boundary_face_centroids + (dom.h / 2) * nu
-    inside = np.array([dom.contains(p) for p in outside_probe[:24]])
-    assert not inside.any()
