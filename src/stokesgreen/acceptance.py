@@ -29,7 +29,15 @@ from .coefficients import (
     piecewise_in_direction,
     validate_ellipticity,
 )
-from .domain import BallQuery, build_box, build_l_shape, dist_to_boundary, exterior_density
+from .domain import (
+    BallQuery,
+    boundary_pole,
+    build_box,
+    build_l_shape,
+    center_pole,
+    dist_to_boundary,
+    exterior_density,
+)
 from .errors import StokesGreenError
 from .green import (
     averaging_identity_check,
@@ -85,7 +93,7 @@ class CriterionResult:
     passed: bool
     details: dict
     reports: list = dc_field(default_factory=list)
-    seconds: float = 0.0
+    seconds: float = 0.0  # wall time of the criterion, set by AcceptanceSuite.run
     peak_rss_mb: float = 0.0  # of the process, when the criterion ended
 
     def line(self):
@@ -103,7 +111,6 @@ class AcceptanceSuite:
         self.n = PRESET_SIZES[preset]
         self.seed = seed
         self.tol = tol
-        self.policy = est.TolerancePolicy()
         self._domains = {}
         self._operators = {}
         self._greens = {}
@@ -131,14 +138,9 @@ class AcceptanceSuite:
             )
         return self._greens[key]
 
-    def center_pole(self, n):
-        # a cell center adjacent to the box midpoint
-        h = 1.0 / n
-        return np.full(3, (n // 2 + 0.5) * h)
-
     def sweep(self, n):
         h = 1.0 / n
-        pole = self.center_pole(n)
+        pole = center_pole(self.domain(n))
         return [self.green(n, pole, m * h) for m in (8, 6, 4, 2)]
 
     # -- criteria ---------------------------------------------------------
@@ -172,13 +174,11 @@ class AcceptanceSuite:
             "C01", "well-posedness: unique solves at 1e-9", passed,
             {"worst_residual": worst_res, "worst_guess_diff": worst_diff,
              "seconds": elapsed},
-            seconds=elapsed,
         )
 
     def c02_divergence_normalization(self):
         """Every Green column is divergence-free up to the reported
         stabilization slack and mean-zero to 1e-10 relative."""
-        t0 = time.time()
         greens = self.sweep(self.n)
         details = {}
         ok = True
@@ -191,21 +191,18 @@ class AcceptanceSuite:
                 "ok": inv["ok"],
             }
             ok = ok and inv["ok"]
-        return CriterionResult(
-            "C02", "Green columns: divergence and normalization", ok, details,
-            seconds=time.time() - t0,
-        )
+        return CriterionResult("C02", "Green columns: divergence and normalization", ok,
+                               details)
 
     def c03_energy_scaling(self):
         """C-hat(eps) varies by at most a factor 2 over the eps sweep."""
-        t0 = time.time()
         greens = self.sweep(self.n)
-        report = est.energy_envelope_report(greens, self.policy)
+        report = est.energy_envelope_report(greens)
         envs = report.samples["quotients"]
         return CriterionResult(
             "C03", "energy envelope uniform over eps sweep", report.passed,
             {"envelopes": envs, "ratio": max(envs) / min(envs)},
-            reports=[report], seconds=time.time() - t0,
+            reports=[report],
         )
 
     def c04_pointwise_decay(self):
@@ -219,22 +216,18 @@ class AcceptanceSuite:
         h = 1.0 / n
         dom = self.domain(n)
         radii = [m * h for m in (4, 5, 6, 7, 8)]
-        g_int = self.green(n, self.center_pole(n), 2 * h)
-        rep_int = est.annulus_decay_profile(dom, g_int, radii, self.policy,
-                                            "annulus-decay-interior")
-        # boundary-near pole: 4.5 h off the x = 0 face at mid-height
-        yb = np.array([4.5 * h, (n // 2 + 0.5) * h, (n // 2 + 0.5) * h])
-        g_bnd = self.green(n, yb, 2 * h)
-        rep_bnd = est.annulus_decay_profile(dom, g_bnd, radii, self.policy,
-                                            "annulus-decay-boundary")
+        g_int = self.green(n, center_pole(dom), 2 * h)
+        rep_int = est.annulus_decay_profile(dom, g_int, radii, "annulus-decay-interior")
+        g_bnd = self.green(n, boundary_pole(dom), 2 * h)
+        rep_bnd = est.annulus_decay_profile(dom, g_bnd, radii, "annulus-decay-boundary")
         elapsed = time.time() - t0
         passed = rep_int.passed and rep_bnd.passed and elapsed <= 600
         return CriterionResult(
             "C04", "pointwise decay slope (interior and boundary poles)", passed,
             {"interior_slope": rep_int.fitted, "boundary_slope": rep_bnd.fitted,
-             "window": [-1 - self.policy.slope_window, -1 + self.policy.slope_window],
+             "window": [-1 - est.SLOPE_WINDOW, -1 + est.SLOPE_WINDOW],
              "seconds": elapsed},
-            reports=[rep_int, rep_bnd], seconds=elapsed,
+            reports=[rep_int, rep_bnd],
         )
 
     def c05_annulus_bounds(self):
@@ -243,29 +236,25 @@ class AcceptanceSuite:
         annulus A_R = {R < |x-y| <= 2R} inside Omega minus B_R.  The
         annulus keeps its shape as R grows, where the full exterior is cut
         off by the cube's faces."""
-        t0 = time.time()
         dom = self.domain(self.n)
-        g = self.green(self.n, self.center_pole(self.n), 2.0 / self.n)
+        g = self.green(self.n, center_pole(dom), 2.0 / self.n)
         grid = est.profile_grid(dom, g)
-        report = est.annulus_oscillation_norms(dom, g, grid, self.policy,
-                                               estimate_id="annulus-norms")
+        report = est.annulus_oscillation_norms(dom, g, grid, estimate_id="annulus-norms")
         return CriterionResult(
             "C05", "annulus norm exponent vs (2-d)/2", report.passed,
             {"fitted": report.fitted, "predicted": report.predicted,
              "radii": report.samples["radii"]},
-            reports=[report], seconds=time.time() - t0,
+            reports=[report],
         )
 
     def c06_weak_type(self):
         """Envelopes t^p |{.>t}| flat within a factor 5 over the admissible,
         grid-resolved threshold range."""
-        t0 = time.time()
         dom = self.domain(self.n)
-        g = self.green(self.n, self.center_pole(self.n), 2.0 / self.n)
+        g = self.green(self.n, center_pole(dom), 2.0 / self.n)
         base = min(0.5, dist_to_boundary(dom, g.y))  # R0 = 1/2
         names = ("G", "DG", "Pi")
-        reports = [est.weak_type_envelope(dom, g, name, base, self.policy,
-                                          f"T1-weak-{name}")
+        reports = [est.weak_type_envelope(dom, g, name, base, f"T1-weak-{name}")
                    for name in names]
         details = {name: {"ratio": rep.envelope_ratio, "floor": rep.context["floor"],
                           "flags": rep.flags}
@@ -273,7 +262,7 @@ class AcceptanceSuite:
         return CriterionResult(
             "C06", "weak-type envelopes flat within factor 5",
             all(rep.passed for rep in reports), details,
-            reports=reports, seconds=time.time() - t0,
+            reports=reports,
         )
 
     def c07_local_lq(self):
@@ -281,24 +270,21 @@ class AcceptanceSuite:
         on the annulus A' = {R/2 < |x-y| <= R} inside B_R: the L1 norms of
         G - (G)_A', DG and Pi.  Leaving out the inner ball keeps the
         unresolved mollifier core (R is only 2.25-3.9 eps) out of the fit."""
-        t0 = time.time()
         dom = self.domain(self.n)
-        g = self.green(self.n, self.center_pole(self.n), 2.0 / self.n)
+        g = self.green(self.n, center_pole(dom), 2.0 / self.n)
         grid = est.profile_grid(dom, g)
-        reports = est.annulus_local_l1(dom, g, grid, self.policy,
-                                       id_prefix="annulus-L1")
+        reports = est.annulus_local_l1(dom, g, grid, id_prefix="annulus-L1")
         ok = all(r.passed for r in reports.values())
         return CriterionResult(
             "C07", "local L1 growth exponents near the pole", ok,
             {name: {"fitted": r.fitted, "predicted": r.predicted}
              for name, r in reports.items()},
-            reports=list(reports.values()), seconds=time.time() - t0,
+            reports=list(reports.values()),
         )
 
     def c08_symmetry_averaging(self):
         """Symmetry and averaging discrepancies below 15% at h = 1/32 and
         strictly smaller than at h = 1/16 for the same physical setup."""
-        t0 = time.time()
         y, x = C08_POLES
         eps = sigma = C08_EPS
         out = {}
@@ -320,13 +306,12 @@ class AcceptanceSuite:
         )
         return CriterionResult(
             "C08", "symmetry and averaging identities", passed,
-            {str(k): v for k, v in out.items()}, seconds=time.time() - t0,
+            {str(k): v for k, v in out.items()},
         )
 
     def c09_representation(self):
         """Discrete duality exact to 10 x solver tolerance at 16^3; the
         pointwise variant decreases over h in {1/8, 1/16, 1/32}."""
-        t0 = time.time()
         point_errors = {}
         avg_error = None
         scale = None
@@ -361,12 +346,11 @@ class AcceptanceSuite:
         return CriterionResult(
             "C09", "representation formula duality and refinement trend", passed,
             {"avg_error_16": avg_error, "threshold": threshold,
-             "point_errors": point_errors}, seconds=time.time() - t0,
+             "point_errors": point_errors},
         )
 
     def c10_bogovskii(self):
         """Divergence-solve quotient varies at most 25% over h refinement."""
-        t0 = time.time()
         quots = {}
         for n in (8, 16, 32):
             dom = self.domain(n)
@@ -378,13 +362,11 @@ class AcceptanceSuite:
         return CriterionResult(
             "C10", "divergence-equation quotient stable under refinement",
             ratio <= 1.25, {"quotients": quots, "ratio": ratio},
-            seconds=time.time() - t0,
         )
 
     def c11_caccioppoli(self):
         """Interior and boundary Caccioppoli quotients within a factor 2
         across a 3-scale radius sweep."""
-        t0 = time.time()
         n = self.n
         h = 1.0 / n
         dom = self.domain(n)
@@ -395,25 +377,24 @@ class AcceptanceSuite:
         f_inf = 1.0 / dom.volume
         xi = np.full(3, (int(0.70 * n) + 0.5) * h)
         sweep_i = [0.28, 0.28 / np.sqrt(2), 0.14]
-        rep_i = est.caccioppoli_sweep(dom, u, p, f_inf, xi, sweep_i, self.policy,
-                                      "interior", estimate_id="caccioppoli-interior")
+        rep_i = est.caccioppoli_sweep(dom, u, p, f_inf, xi, sweep_i, "interior",
+                                      estimate_id="caccioppoli-interior")
         xb = np.array([1.0, (int(0.70 * n) + 0.5) * h, (int(0.70 * n) + 0.5) * h])
         sweep_b = [0.4, 0.4 / np.sqrt(2), 0.2]
-        rep_b = est.caccioppoli_sweep(dom, u, p, f_inf, xb, sweep_b, self.policy,
-                                      "boundary", theta=2.0, R0=0.5,
+        rep_b = est.caccioppoli_sweep(dom, u, p, f_inf, xb, sweep_b, "boundary",
+                                      theta=2.0, R0=0.5,
                                       estimate_id="caccioppoli-boundary")
         passed = rep_i.passed and rep_b.passed
         return CriterionResult(
             "C11", "Caccioppoli quotients stable over radius sweep", passed,
             {"interior": rep_i.samples["quotients"],
              "boundary": rep_b.samples["quotients"]},
-            reports=[rep_i, rep_b], seconds=time.time() - t0,
+            reports=[rep_i, rep_b],
         )
 
     def c12_oscillation(self):
         """Oscillation functional: zero for aligned layers and constants,
         above 0.1 for cross-frame variation."""
-        t0 = time.time()
         n = 64
         dom = build_box((1.0, 1.0, 1.0), 1.0 / n)
         lam = 0.5
@@ -440,13 +421,12 @@ class AcceptanceSuite:
             "C12", "partial mean-oscillation functional", passed,
             {"aligned": osc_aligned, "aligned_bound": bound,
              "rotated": osc_rotated, "checkerboard": osc_checker,
-             "constant": osc_const}, seconds=time.time() - t0,
+             "constant": osc_const},
         )
 
     def c13_exterior_density(self):
         """Box-face density within 10% of the half-ball value; the L-shape
         density is positive."""
-        t0 = time.time()
         dom = self.domain(self.n)
         theta_box = exterior_density(dom, 0.5, samples=40, seed=self.seed + 3)
         half_ball = 2 * np.pi / 3
@@ -457,13 +437,11 @@ class AcceptanceSuite:
         return CriterionResult(
             "C13", "exterior measure density", passed,
             {"box": theta_box, "half_ball": half_ball, "lshape": theta_l},
-            seconds=time.time() - t0,
         )
 
     def c14_negative_controls(self):
         """A non-elliptic field is rejected; doubling a stored G breaks the
         divergence check and the representation identity."""
-        t0 = time.time()
         n = min(self.n, 16)
         dom = self.domain(n)
         bad = CoefficientField(
@@ -494,34 +472,22 @@ class AcceptanceSuite:
             "C14", "negative controls reject faults", passed,
             {"ellipticity_rejected": rejected, "worst_quotient": worst,
              "tampered_div_broken": div_broken,
-             "tampered_repr_error": rc.error_avg}, seconds=time.time() - t0,
+             "tampered_repr_error": rc.error_avg},
         )
 
     # -- runner -----------------------------------------------------------
 
-    def run(self, criteria=None, printer=print):
-        order = criteria or CRITERIA_BY_PRESET[self.preset]
-        methods = {
-            "C01": self.c01_well_posedness,
-            "C02": self.c02_divergence_normalization,
-            "C03": self.c03_energy_scaling,
-            "C04": self.c04_pointwise_decay,
-            "C05": self.c05_annulus_bounds,
-            "C06": self.c06_weak_type,
-            "C07": self.c07_local_lq,
-            "C08": self.c08_symmetry_averaging,
-            "C09": self.c09_representation,
-            "C10": self.c10_bogovskii,
-            "C11": self.c11_caccioppoli,
-            "C12": self.c12_oscillation,
-            "C13": self.c13_exterior_density,
-            "C14": self.c14_negative_controls,
-        }
+    def run(self):
+        """Run the preset's criteria in order, timing each and recording the
+        process peak when it ends; a criterion is the method named
+        ``c<NN>_...``, looked up when it is called."""
         results = []
-        for cid in order:
-            result = methods[cid]()
+        for cid in CRITERIA_BY_PRESET[self.preset]:
+            name = next(m for m in dir(self) if m.startswith(f"{cid.lower()}_"))
+            t0 = time.time()
+            result = getattr(self, name)()
+            result.seconds = time.time() - t0
             result.peak_rss_mb = peak_rss_mb()
             results.append(result)
-            if printer:
-                printer(result.line())
+            print(result.line())
         return results

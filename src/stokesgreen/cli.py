@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from .coefficients import (
     partial_oscillation,
     validate_ellipticity,
 )
-from .domain import BallQuery, build_domain, dist_to_boundary
+from .domain import BallQuery, boundary_pole, build_domain, center_pole, dist_to_boundary
 from .errors import ConfigError, SolverError, StokesGreenError
 from .green import (
     GreenApprox,
@@ -122,9 +122,9 @@ def _symmetry(pipe, eid):
     # opposite near-boundary poles keep the mollifier balls separated even
     # on coarse grids
     dom = pipe.domain
-    h, shape = dom.h, dom.shape
-    y = np.array([4.5 * h, (shape[1] // 2 + 0.5) * h, (shape[2] // 2 + 0.5) * h])
-    x = np.array([dom.extent[0] - 4.5 * h, y[1], y[2]])
+    h = dom.h
+    y = boundary_pole(dom)
+    x = np.array([dom.extent[0] - y[0], y[1], y[2]])
     eps = sigma = 2 * h
     gd = pipe.green(y, eps)
     ga = compute_adjoint_green(dom, pipe.coeffs, x, sigma, tol=pipe.tol,
@@ -215,28 +215,21 @@ ESTIMATES = {
 VALID_ESTIMATES = list(ESTIMATES)
 
 
+def _preset_config(preset, poles, estimates):
+    return {
+        "domain": {"kind": "box", "extent": [1.0, 1.0, 1.0], "h": 1.0 / PRESET_SIZES[preset]},
+        "coefficients": {"kind": "identity"},
+        "poles": poles,
+        "eps_sweep": "auto",
+        "estimates": estimates,
+    }
+
+
 PRESET_CONFIGS = {
-    "smoke": {
-        "domain": {"kind": "box", "extent": [1.0, 1.0, 1.0], "h": 1.0 / 16},
-        "coefficients": {"kind": "identity"},
-        "poles": "auto-boundary",
-        "eps_sweep": "auto",
-        "estimates": ["decay"],
-    },
-    "standard": {
-        "domain": {"kind": "box", "extent": [1.0, 1.0, 1.0], "h": 1.0 / 24},
-        "coefficients": {"kind": "identity"},
-        "poles": "auto",
-        "eps_sweep": "auto",
-        "estimates": ["decay", "T1-i", "T1-ii", "bogovskii", "poincare"],
-    },
-    "deep": {
-        "domain": {"kind": "box", "extent": [1.0, 1.0, 1.0], "h": 1.0 / 32},
-        "coefficients": {"kind": "identity"},
-        "poles": "auto",
-        "eps_sweep": "auto",
-        "estimates": list(VALID_ESTIMATES),
-    },
+    "smoke": _preset_config("smoke", "auto-boundary", ["decay"]),
+    "standard": _preset_config("standard", "auto",
+                               ["decay", "T1-i", "T1-ii", "bogovskii", "poincare"]),
+    "deep": _preset_config("deep", "auto", list(VALID_ESTIMATES)),
 }
 
 
@@ -248,47 +241,52 @@ def _nonempty_list(v, is_entry):
     return isinstance(v, list) and len(v) > 0 and all(map(is_entry, v))
 
 
-# one row per ExperimentConfig field: (is_valid, what a valid value is); the
-# keys inside 'domain' and 'coefficients' are checked by their builders
-_FIELDS = {
-    "domain": (lambda v: isinstance(v, dict) and "kind" in v, "a mapping with a 'kind'"),
-    "coefficients": (lambda v: isinstance(v, dict) and "kind" in v, "a mapping with a 'kind'"),
-    "poles": (lambda v: v in ("auto", "auto-boundary") or _nonempty_list(
-        v, lambda p: isinstance(p, (list, tuple)) and len(p) == 3 and all(map(_number, p))),
-        "'auto', 'auto-boundary' or a non-empty list of finite 3-vectors"),
-    "eps_sweep": (lambda v: v == "auto" or _nonempty_list(v, lambda e: _number(e, above=0)),
-                  "'auto' or a non-empty list of positive lengths"),
-    "solver": (lambda v: isinstance(v, dict) and set(v) <= {"tol", "c_s"}
-               and all(_number(x, above=0) for x in v.values()),
-               "a mapping of 'tol' and 'c_s' to positive numbers"),
-    "estimates": (lambda v: isinstance(v, list) and all(
-        isinstance(e, str) and e in ESTIMATES for e in v), f"a list of ids from {VALID_ESTIMATES}"),
-    "R0": (lambda v: _number(v, above=0) and v <= 1, "a number in (0, 1]"),
-    "out": (lambda v: isinstance(v, str) and v != "", "a non-empty path"),
-    "seed": (lambda v: _number(v, int, -1), "a non-negative integer"),
-    "memory_budget_mb": (lambda v: v is None or _number(v, int, 0), "a positive integer or null"),
-    "fixture_dir": (lambda v: v is None or isinstance(v, str), "a path or null"),
-    "preset": (lambda v: v is None or (isinstance(v, str) and v in PRESET_SIZES),
-               f"null or one of {sorted(PRESET_SIZES)}"),
-}
+def _is_descriptor(v):
+    return isinstance(v, dict) and "kind" in v
+
+
+def _checked(is_valid, want, **default):
+    """A config field carrying its check: is_valid(value), and what a valid
+    value is; the keys inside 'domain' and 'coefficients' are checked by
+    their builders."""
+    return dc_field(metadata={"check": (is_valid, want)}, **default)
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description; all defaults centralized here."""
+    """Validated experiment description; every field's default and check
+    are declared here."""
 
-    domain: dict = None
-    coefficients: dict = dc_field(default_factory=lambda: {"kind": "identity"})
-    poles: object = "auto"
-    eps_sweep: object = "auto"
-    solver: dict = dc_field(default_factory=lambda: {"tol": DEFAULT_TOL, "c_s": DEFAULT_STAB})
-    estimates: list = dc_field(default_factory=list)
-    R0: float = 0.5
-    out: str = "stokesgreen-out"
-    seed: int = 0
-    memory_budget_mb: int = 8192
-    fixture_dir: str | None = None
-    preset: str | None = None
+    domain: dict = _checked(_is_descriptor, "a mapping with a 'kind'", default=None)
+    coefficients: dict = _checked(_is_descriptor, "a mapping with a 'kind'",
+                                  default_factory=lambda: {"kind": "identity"})
+    poles: object = _checked(
+        lambda v: v in ("auto", "auto-boundary") or _nonempty_list(
+            v, lambda p: isinstance(p, (list, tuple)) and len(p) == 3 and all(map(_number, p))),
+        "'auto', 'auto-boundary' or a non-empty list of finite 3-vectors", default="auto")
+    eps_sweep: object = _checked(
+        lambda v: v == "auto" or _nonempty_list(v, lambda e: _number(e, above=0)),
+        "'auto' or a non-empty list of positive lengths", default="auto")
+    solver: dict = _checked(
+        lambda v: isinstance(v, dict) and set(v) <= {"tol", "c_s"}
+        and all(_number(x, above=0) for x in v.values()),
+        "a mapping of 'tol' and 'c_s' to positive numbers",
+        default_factory=lambda: {"tol": DEFAULT_TOL, "c_s": DEFAULT_STAB})
+    estimates: list = _checked(
+        lambda v: isinstance(v, list) and all(isinstance(e, str) and e in ESTIMATES for e in v),
+        f"a list of ids from {VALID_ESTIMATES}", default_factory=list)
+    R0: float = _checked(lambda v: _number(v, above=0) and v <= 1, "a number in (0, 1]",
+                         default=0.5)
+    out: str = _checked(lambda v: isinstance(v, str) and v != "", "a non-empty path",
+                        default="stokesgreen-out")
+    seed: int = _checked(lambda v: _number(v, int, -1), "a non-negative integer", default=0)
+    memory_budget_mb: int = _checked(lambda v: v is None or _number(v, int, 0),
+                                     "a positive integer or null", default=8192)
+    fixture_dir: str | None = _checked(lambda v: v is None or isinstance(v, str),
+                                       "a path or null", default=None)
+    preset: str | None = _checked(
+        lambda v: v is None or (isinstance(v, str) and v in PRESET_SIZES),
+        f"null or one of {sorted(PRESET_SIZES)}", default=None)
 
     @classmethod
     def from_dict(cls, raw):
@@ -311,10 +309,11 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def validate(self):
-        for name, (is_valid, want) in _FIELDS.items():
-            value = getattr(self, name)
+        for f in fields(self):
+            is_valid, want = f.metadata["check"]
+            value = getattr(self, f.name)
             if not is_valid(value):
-                raise ConfigError(f"'{name}' must be {want}, got {value!r}")
+                raise ConfigError(f"'{f.name}' must be {want}, got {value!r}")
 
     def canonical(self):
         keys = sorted(self.__dataclass_fields__)
@@ -324,18 +323,7 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
 
 
-def _auto_poles(domain, kinds=("interior", "boundary")):
-    h = domain.h
-    shape = domain.shape
-    poles = []
-    if "interior" in kinds:
-        poles.append(("interior", (np.array(shape) // 2 + 0.5) * h))
-    if "boundary" in kinds:
-        poles.append(
-            ("boundary",
-             np.array([4.5 * h, (shape[1] // 2 + 0.5) * h, (shape[2] // 2 + 0.5) * h]))
-        )
-    return poles
+_AUTO_POLES = {"interior": center_pole, "boundary": boundary_pole}
 
 
 def _build_fields(cfg, stage=lambda name, build: build()):
@@ -394,7 +382,7 @@ class Pipeline:
         if cfg.poles in ("auto", "auto-boundary"):
             kinds = ("boundary",) if cfg.poles == "auto-boundary" else (
                 "interior", "boundary")
-            self.poles = _auto_poles(self.domain, kinds)
+            self.poles = [(kind, _AUTO_POLES[kind](self.domain)) for kind in kinds]
         else:
             self.poles = [(f"pole{i}", np.asarray(p, dtype=float))
                           for i, p in enumerate(cfg.poles)]

@@ -117,6 +117,8 @@ class CoefficientField:
         self.index = np.asarray(index, dtype=np.int32)
         if self.tensors.ndim != 5 or self.tensors.shape[1:] != (DIM,) * 4:
             raise ValidationError("tensors must have shape (K, 3, 3, 3, 3)")
+        if not np.isfinite(self.tensors).all():
+            raise ValidationError("tensors must be finite")
         nbbox = int(np.prod(self.shape))
         if self.index.shape != (nbbox,):
             raise ValidationError("index must cover every bounding-box cell")
@@ -216,7 +218,7 @@ def piecewise_in_direction(domain, profile, frame, lam):
     if not profile:
         raise ValidationError("profile must contain at least one segment")
     starts = np.array([float(b) for b, _ in profile])
-    if np.any(np.diff(starts) <= 0):
+    if np.isnan(starts).any() or not (np.diff(starts) > 0).all():
         raise ValidationError("profile breaks must be strictly increasing")
     tensors = np.stack([np.asarray(t, dtype=float) for _, t in profile])
     for t in tensors:
@@ -229,8 +231,8 @@ def piecewise_in_direction(domain, profile, frame, lam):
 
 def checkerboard(domain, axis, period, tensor_a, tensor_b, lam):
     """Field alternating between two tensors along one axis."""
-    if not period > 0:
-        raise ValidationError("checkerboard period must be positive")
+    if not period >= domain.h:
+        raise ValidationError(f"checkerboard period must be at least h = {domain.h}, got {period}")
     for t in (tensor_a, tensor_b):
         _check_member(t, lam)
     centers = _cell_centers(domain.shape, domain.h)

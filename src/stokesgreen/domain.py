@@ -53,7 +53,7 @@ class VoxelDomain:
 
     dim = DIM
 
-    def __init__(self, shape, h, mask, check_connectivity=True):
+    def __init__(self, shape, h, mask):
         shape = tuple(int(n) for n in shape)
         if len(shape) != DIM or any(n < 1 for n in shape):
             raise GeometryError(f"invalid grid shape {shape}")
@@ -64,12 +64,11 @@ class VoxelDomain:
             raise GeometryError("mask shape does not match grid shape")
         if not mask.any():
             raise GeometryError("domain mask is empty")
-        if check_connectivity:
-            _, ncomp = ndimage.label(mask, structure=_FACE_STRUCTURE)
-            if ncomp != 1:
-                raise GeometryError(
-                    f"included region must be face-connected, found {ncomp} components"
-                )
+        _, ncomp = ndimage.label(mask, structure=_FACE_STRUCTURE)
+        if ncomp != 1:
+            raise GeometryError(
+                f"included region must be face-connected, found {ncomp} components"
+            )
         self.shape = shape
         self.h = float(h)
         self.mask = mask
@@ -203,13 +202,13 @@ class VoxelDomain:
 
 def _cells_from_extent(extent, h):
     extent = np.asarray(extent, dtype=float)
-    if extent.shape != (DIM,) or np.any(extent <= 0):
+    if extent.shape != (DIM,) or not (extent > 0).all():
         raise GeometryError(f"extent must be 3 positive lengths, got {extent}")
     if isinstance(h, bool) or not h > 0:
         raise GeometryError(f"cell width must be a positive number, got {h}")
     n = extent / h
     n_round = np.rint(n)
-    if np.any(n_round < 1) or np.any(np.abs(n - n_round) > 1e-3 * n_round):
+    if not ((n_round >= 1).all() and (np.abs(n - n_round) <= 1e-3 * n_round).all()):
         raise GeometryError(
             f"cell width {h} does not divide extent {extent.tolist()} within 0.1%"
         )
@@ -232,9 +231,9 @@ def build_l_shape(extent, notch, h):
     lo = np.asarray(notch[0], dtype=float)
     hi = np.asarray(notch[1], dtype=float)
     ext = np.asarray(extent, dtype=float)
-    if np.any(lo >= hi):
+    if not (lo < hi).all():
         raise GeometryError("notch corners must satisfy lo < hi componentwise")
-    if np.any(lo < -1e-12) or np.any(hi > ext + 1e-12):
+    if not ((lo >= -1e-12).all() and (hi <= ext + 1e-12).all()):
         raise GeometryError("notch must lie inside the extent")
     mask = np.ones(shape, dtype=bool)
     grids = np.meshgrid(*[np.arange(n) for n in shape], indexing="ij")
@@ -250,8 +249,8 @@ def build_l_shape(extent, notch, h):
 
 def build_voxel_ball(radius, h):
     """Voxelized ball of the given radius centered in its bounding box."""
-    if not radius > 0:
-        raise GeometryError(f"ball radius must be positive, got {radius}")
+    if isinstance(radius, bool) or not radius > 0:
+        raise GeometryError(f"ball radius must be a positive number, got {radius}")
     if radius < 4 * h:
         raise ResolutionError(f"ball radius {radius} must be at least 4h = {4 * h}")
     n = int(np.ceil(2 * radius / h))
@@ -261,6 +260,19 @@ def build_voxel_ball(radius, h):
     d2 = sum(((g + 0.5) * h - center[a]) ** 2 for a, g in enumerate(grids))
     mask = d2 <= radius**2
     return VoxelDomain(shape, h, mask)
+
+
+def center_pole(domain):
+    """The cell center at the midpoint of the bounding box, or just above it
+    along each axis with an even cell count."""
+    return (np.array(domain.shape) // 2 + 0.5) * domain.h
+
+
+def boundary_pole(domain):
+    """The cell center 4.5 h off the x = 0 face, at mid-height in y and z."""
+    pole = center_pole(domain)
+    pole[0] = 4.5 * domain.h
+    return pole
 
 
 def dist_to_boundary(domain, x):

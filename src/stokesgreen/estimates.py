@@ -3,8 +3,8 @@
 Each measurement produces an EstimateReport holding the raw samples, the
 fitted quantity, the predicted exponent from the decay theory (kept in
 terms of the dimension d so reports print the general form), and a pass
-flag that is a pure function of the stored measurements and the recorded
-tolerance policy.
+flag that is a pure function of the stored measurements and the acceptance
+windows declared once below (``POLICY``), which every report records.
 
 Pointwise magnitudes: |G| is the Frobenius norm of the 3x3 matrix, |DG|
 the Frobenius norm over all 27 centered-difference entries, |Pi| the
@@ -14,7 +14,7 @@ Euclidean norm of the pressure row.  All integrals are midpoint cell sums.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field as dc_field, asdict
+from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
@@ -25,19 +25,19 @@ from .system import DIM, grid_operators, lp_norm
 
 D = DIM  # exponents below are the d = 3 values of the general formulas
 
-
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Acceptance windows for trend-based checks; explicit and overridable."""
-
-    slope_window: float = 0.35
-    lq_slope_window: float = 0.4
-    envelope_ratio_max: float = 5.0
-    quotient_stability_factor: float = 2.0
-    energy_envelope_factor: float = 2.0
-
-    def as_dict(self):
-        return asdict(self)
+# acceptance windows of the trend-based checks
+SLOPE_WINDOW = 0.35
+LQ_SLOPE_WINDOW = 0.4
+ENVELOPE_RATIO_MAX = 5.0
+QUOTIENT_STABILITY_FACTOR = 2.0
+ENERGY_ENVELOPE_FACTOR = 2.0
+POLICY = {
+    "slope_window": SLOPE_WINDOW,
+    "lq_slope_window": LQ_SLOPE_WINDOW,
+    "envelope_ratio_max": ENVELOPE_RATIO_MAX,
+    "quotient_stability_factor": QUOTIENT_STABILITY_FACTOR,
+    "energy_envelope_factor": ENERGY_ENVELOPE_FACTOR,
+}
 
 
 @dataclass
@@ -50,7 +50,7 @@ class EstimateReport:
     fit_residual: float | None = None
     envelope_ratio: float | None = None
     passed: bool = False
-    policy: dict = dc_field(default_factory=dict)
+    policy: dict = dc_field(default_factory=lambda: dict(POLICY))
     context: dict = dc_field(default_factory=dict)
     flags: list = dc_field(default_factory=list)
 
@@ -166,7 +166,7 @@ def fit_power_law(samples):
 # estimate measurements
 
 
-def decay_profile(domain, green, radii, policy=TolerancePolicy(), estimate_id="decay"):
+def decay_profile(domain, green, radii, estimate_id="decay"):
     """Shell-max pointwise decay of |G(., y)| against the prediction r^(2-d).
 
     Shells are the cells with ``| |x-y| - r | <= h/2``; the max curve is
@@ -186,13 +186,12 @@ def decay_profile(domain, green, radii, policy=TolerancePolicy(), estimate_id="d
         maxima.append(float(mag[sel].max()))
         means.append(float(mag[sel].mean()))
     predicted = float(2 - D)
-    rule = {"kind": "slope", "target": predicted, "window": policy.slope_window}
+    rule = {"kind": "slope", "target": predicted, "window": SLOPE_WINDOW}
     report = EstimateReport(
         estimate_id=estimate_id,
         rule=rule,
         samples={"radii": radii, "shell_max": maxima, "shell_mean": means},
         predicted=predicted,
-        policy=policy.as_dict(),
         context={
             "pole": green.y.tolist(),
             "eps": green.eps,
@@ -235,8 +234,8 @@ def _admissible_radii(domain, green, grid, variant, R0, lower):
     return sorted(radii), upper
 
 
-def annulus_norms(domain, green, R_grid, policy=TolerancePolicy(), variant="interior",
-                  R0=1.0, estimate_id="annulus", fit_part="combined"):
+def annulus_norms(domain, green, R_grid, variant="interior", R0=1.0,
+                  estimate_id="annulus", fit_part="combined"):
     """Norms on the annulus away from the pole against R^((2-d)/2).
 
     Measures ``||G||_L6``, ``||DG||_L2``, and ``||Pi||_L2`` on cells
@@ -271,13 +270,12 @@ def annulus_norms(domain, green, R_grid, policy=TolerancePolicy(), variant="inte
     curve = {"combined": rows["combined"], "G_DG": rows["G_DG"],
              "Pi": rows["Pi_L2"]}[fit_part]
     predicted = (2 - D) / 2.0
-    rule = {"kind": "slope", "target": predicted, "window": policy.slope_window}
+    rule = {"kind": "slope", "target": predicted, "window": SLOPE_WINDOW}
     report = EstimateReport(
         estimate_id=estimate_id,
         rule=rule,
         samples={"radii": kept, **rows},
         predicted=predicted,
-        policy=policy.as_dict(),
         context={
             "pole": green.y.tolist(),
             "eps": green.eps,
@@ -308,7 +306,7 @@ WEAK_TYPE_FLOOR_POWER = {"G": 2 - D, "DG": 1 - D, "Pi": 1 - D}
 
 
 def weak_type_profile(domain, values, exponent, thresholds, floor=0.0,
-                      policy=TolerancePolicy(), estimate_id="weak-type"):
+                      estimate_id="weak-type"):
     """Envelope t^p |{|field| > t}| over a threshold grid above the floor.
 
     The envelope of an exact weak-type field is flat; the report carries
@@ -326,13 +324,12 @@ def weak_type_profile(domain, values, exponent, thresholds, floor=0.0,
     measures = np.array([domain.h**3 * np.count_nonzero(v > ti) for ti in t])
     envelope = measures * t**exponent
     populated = envelope > 0
-    rule = {"kind": "envelope", "max_ratio": policy.envelope_ratio_max}
+    rule = {"kind": "envelope", "max_ratio": ENVELOPE_RATIO_MAX}
     report = EstimateReport(
         estimate_id=estimate_id,
         rule=rule,
         samples={"thresholds": t, "measures": measures, "envelope": envelope},
         predicted=-exponent,
-        policy=policy.as_dict(),
         context={"floor": floor, "h": domain.h, "exponent": exponent},
     )
     if measures.sum() == 0:
@@ -352,8 +349,7 @@ def weak_type_profile(domain, values, exponent, thresholds, floor=0.0,
     return report
 
 
-def weak_type_envelope(domain, green, name, base, policy=TolerancePolicy(),
-                       estimate_id="weak-type"):
+def weak_type_envelope(domain, green, name, base, estimate_id="weak-type"):
     """Weak-type envelope of the named field above the floor base^power.
 
     Thresholds run geometrically from just above the floor to the smaller
@@ -368,16 +364,15 @@ def weak_type_envelope(domain, green, name, base, policy=TolerancePolicy(),
     if tmax <= floor * 1.01:
         return EstimateReport(
             estimate_id=estimate_id,
-            rule={"kind": "envelope", "max_ratio": policy.envelope_ratio_max},
+            rule={"kind": "envelope", "max_ratio": ENVELOPE_RATIO_MAX},
             samples={"measured": 0.0},
             flags=["field max at or below threshold floor; vacuous"],
             passed=True,
-            policy=policy.as_dict(),
             context={"floor": floor, "field": name},
         )
     thresholds = np.geomspace(floor * 1.01, tmax, 12)
     return weak_type_profile(domain, values, WEAK_TYPE_EXPONENTS[name], thresholds,
-                             floor, policy, estimate_id)
+                             floor, estimate_id)
 
 
 LQ_RANGES = {"G": (1.0, D / (D - 2.0)), "DG": (1.0, D / (D - 1.0)),
@@ -389,9 +384,8 @@ LQ_PREDICTED = {
 }
 
 
-def local_lq_norms(domain, green, R_grid, q_list, policy=TolerancePolicy(),
-                   variant="interior", R0=1.0, id_prefix="lq",
-                   fields=("G", "DG", "Pi")):
+def local_lq_norms(domain, green, R_grid, q_list, variant="interior", R0=1.0,
+                   id_prefix="lq", fields=("G", "DG", "Pi")):
     """Local L_q growth of G, DG, Pi near the pole, one report per field.
 
     Admissible q are the intervals where the predicted norms stay finite:
@@ -422,7 +416,7 @@ def local_lq_norms(domain, green, R_grid, q_list, policy=TolerancePolicy(),
             slope, _, resid = fit_power_law(zip(radii, norms))
             fits.append((q, slope, resid))
         predicted = LQ_PREDICTED[name](q_list[0])
-        rule = {"kind": "slope", "target": predicted, "window": policy.lq_slope_window}
+        rule = {"kind": "slope", "target": predicted, "window": LQ_SLOPE_WINDOW}
         rep = EstimateReport(
             estimate_id=f"{id_prefix}-{name}",
             rule=rule,
@@ -430,7 +424,6 @@ def local_lq_norms(domain, green, R_grid, q_list, policy=TolerancePolicy(),
             predicted=predicted,
             fitted=fits[0][1],
             fit_residual=fits[0][2],
-            policy=policy.as_dict(),
             context={
                 "pole": green.y.tolist(),
                 "eps": green.eps,
@@ -442,7 +435,7 @@ def local_lq_norms(domain, green, R_grid, q_list, policy=TolerancePolicy(),
         )
         rep.samples["all_fits"] = [s for _, s, _ in fits]
         rep.passed = rep.recompute_pass() and all(
-            abs(s - LQ_PREDICTED[name](q)) <= policy.lq_slope_window
+            abs(s - LQ_PREDICTED[name](q)) <= LQ_SLOPE_WINDOW
             for q, s, _ in fits
         )
         reports[name] = rep
@@ -484,14 +477,13 @@ def annulus_deviation(field, cells):
 
 
 def _annulus_slope_report(domain, green, estimate_id, radii, samples, curve,
-                          predicted, window, policy, annulus, formula):
+                          predicted, window, annulus, formula):
     rule = {"kind": "slope", "target": predicted, "window": window}
     report = EstimateReport(
         estimate_id=estimate_id,
         rule=rule,
         samples={"radii": list(radii), **samples},
         predicted=predicted,
-        policy=policy.as_dict(),
         context={
             "pole": green.y.tolist(),
             "eps": green.eps,
@@ -510,8 +502,7 @@ def _annulus_slope_report(domain, green, estimate_id, radii, samples, curve,
     return report
 
 
-def annulus_decay_profile(domain, green, radii, policy=TolerancePolicy(),
-                          estimate_id="annulus-decay"):
+def annulus_decay_profile(domain, green, radii, estimate_id="annulus-decay"):
     """Pointwise decay: max |G - (G)_A| on A_r = {r - h/2 < |x-y| <= 2r + h/2}
     fitted against r^(2-d)."""
     radii = sorted(float(r) for r in radii)
@@ -519,13 +510,12 @@ def annulus_decay_profile(domain, green, radii, policy=TolerancePolicy(),
               for cells in annulus_cells(domain, green, radii, 1, 2, domain.h / 2)]
     return _annulus_slope_report(
         domain, green, estimate_id, radii, {"annulus_max": maxima}, maxima,
-        float(2 - D), policy.slope_window, policy,
+        float(2 - D), SLOPE_WINDOW,
         "r-h/2 < |x-y| <= 2r+h/2", "2-d",
     )
 
 
-def annulus_oscillation_norms(domain, green, radii, policy=TolerancePolicy(),
-                              estimate_id="annulus-norms"):
+def annulus_oscillation_norms(domain, green, radii, estimate_id="annulus-norms"):
     """``||G - (G)_A||_L6 + ||DG||_L2 + ||Pi - (Pi)_A||_L2`` on
     A_R = {R < |x-y| <= 2R} fitted against R^((2-d)/2)."""
     radii = sorted(float(r) for r in radii)
@@ -539,13 +529,12 @@ def annulus_oscillation_norms(domain, green, radii, policy=TolerancePolicy(),
     combined = [sum(parts) for parts in zip(*rows.values())]
     return _annulus_slope_report(
         domain, green, estimate_id, radii, {**rows, "combined": combined},
-        combined, (2 - D) / 2.0, policy.slope_window, policy,
+        combined, (2 - D) / 2.0, SLOPE_WINDOW,
         "R < |x-y| <= 2R", "(2-d)/2",
     )
 
 
-def annulus_local_l1(domain, green, radii, policy=TolerancePolicy(),
-                     id_prefix="annulus-L1"):
+def annulus_local_l1(domain, green, radii, id_prefix="annulus-L1"):
     """L1 norms of G - (G)_A, DG and Pi on A' = {R/2 < |x-y| <= R}, one
     report per field, fitted against R^(2-d+d/q) (G) and R^(1-d+d/q) (DG,
     Pi) at q = 1."""
@@ -561,7 +550,7 @@ def annulus_local_l1(domain, green, radii, policy=TolerancePolicy(),
     return {
         name: _annulus_slope_report(
             domain, green, f"{id_prefix}-{name}", radii, {"norms_q1": curve},
-            curve, LQ_PREDICTED[name](1.0), policy.lq_slope_window, policy,
+            curve, LQ_PREDICTED[name](1.0), LQ_SLOPE_WINDOW,
             "R/2 < |x-y| <= R", "2-d+d/q" if name == "G" else "1-d+d/q",
         )
         for name, curve in norms.items()
@@ -621,9 +610,8 @@ def _caccioppoli(domain, u, p, f_inf, x0, R, subtract_p_mean):
     return (du + pn) / rhs
 
 
-def caccioppoli_sweep(domain, u, p, f_inf, x0, radii, policy=TolerancePolicy(),
-                      variant="interior", theta=None, R0=1.0,
-                      estimate_id="caccioppoli"):
+def caccioppoli_sweep(domain, u, p, f_inf, x0, radii, variant="interior", theta=None,
+                      R0=1.0, estimate_id="caccioppoli"):
     """Quotient stability across a radius sweep; pass if max/min <= factor."""
     quots = []
     for R in radii:
@@ -631,28 +619,25 @@ def caccioppoli_sweep(domain, u, p, f_inf, x0, radii, policy=TolerancePolicy(),
             quots.append(caccioppoli_interior(domain, u, p, f_inf, x0, R))
         else:
             quots.append(caccioppoli_boundary(domain, u, p, f_inf, x0, R, theta, R0))
-    rule = {"kind": "stability", "factor": policy.quotient_stability_factor}
+    rule = {"kind": "stability", "factor": QUOTIENT_STABILITY_FACTOR}
     report = EstimateReport(
         estimate_id=estimate_id,
         rule=rule,
         samples={"radii": list(radii), "quotients": quots},
-        policy=policy.as_dict(),
         context={"variant": variant, "x0": list(np.asarray(x0, float)), "h": domain.h},
     )
     report.passed = report.recompute_pass()
     return report
 
 
-def energy_envelope_report(greens, policy=TolerancePolicy(),
-                           estimate_id="energy-envelope"):
+def energy_envelope_report(greens, estimate_id="energy-envelope"):
     """Uniform-boundedness check of C-hat(eps) across an eps sweep."""
     envs = [g.energy_envelope() for g in greens]
-    rule = {"kind": "stability", "factor": policy.energy_envelope_factor}
+    rule = {"kind": "stability", "factor": ENERGY_ENVELOPE_FACTOR}
     report = EstimateReport(
         estimate_id=estimate_id,
         rule=rule,
         samples={"eps": [g.eps for g in greens], "quotients": envs},
-        policy=policy.as_dict(),
         context={"exponent_formula": "|Omega_eps|^((2-d)/(2d))"},
     )
     report.passed = report.recompute_pass()

@@ -37,6 +37,10 @@ from .system import (
 )
 
 D_EXP = (2.0 - DIM) / (2.0 * DIM)  # exponent in the energy bound |Omega_eps|^((2-d)/2d)
+# check_green_invariants: the divergence floor, and the column-mean bound
+# relative to max |G|
+INVARIANT_DIV_TOL = 1e-8
+INVARIANT_MEAN_TOL = 1e-10
 
 
 @dataclass
@@ -238,19 +242,20 @@ def compute_adjoint_green(domain, coeffs, x, sigma, tol=DEFAULT_TOL, operator=No
     return out
 
 
-def check_green_invariants(domain, green, tol=1e-8, mean_tol=1e-10):
+def check_green_invariants(domain, green):
     """Divergence-free columns, mean-zero normalization, finite envelope.
 
     Returns a dict with per-column measurements and an overall pass flag.
-    The divergence tolerance is the larger of ``tol`` and the reported
-    stabilization slack.
+    The divergence tolerance is the larger of ``INVARIANT_DIV_TOL`` and the
+    reported stabilization slack; column means are held to
+    ``INVARIANT_MEAN_TOL`` times max |G|.
     """
     div = green.column_divergence(domain)
     slack = np.array([r.stab_slack for r in green.reports])
     means = green.column_means(domain)
     gmax = float(np.abs(green.G).max())
-    div_ok = bool(np.all(div <= np.maximum(tol, slack * (1 + 1e-9)) + 1e-300))
-    mean_ok = bool(np.all(means <= mean_tol * max(gmax, 1e-300)))
+    div_ok = bool(np.all(div <= np.maximum(INVARIANT_DIV_TOL, slack * (1 + 1e-9)) + 1e-300))
+    mean_ok = bool(np.all(means <= INVARIANT_MEAN_TOL * max(gmax, 1e-300)))
     return {
         "div_residuals": div,
         "stab_slack": slack,

@@ -915,13 +915,13 @@ def lp_norm(domain, values, p, cells=slice(None)):
     return float((domain.h**3 * np.sum(v**p)) ** (1.0 / p))
 
 
-def assemble(op, f=None, f_alpha=None, g=None):
-    """Assemble the weak-form system of the operator for data (f, f_alpha, g).
+def assemble(op, f=None, g=None):
+    """Assemble the weak-form system of the operator for data (f, g).
 
     ``f`` is a cellwise vector (3, ncells) projected to mean zero (the
-    projection magnitude is reported); ``f_alpha`` is indexed [alpha][comp]
-    with shape (3, 3, ncells); ``g`` is a cellwise scalar.  No boundary rows
-    are modified: the conormal condition is natural in the weak form.
+    projection magnitude is reported); ``g`` is a cellwise scalar.  No
+    boundary rows are modified: the conormal condition is natural in the
+    weak form.
     """
     domain = op.domain
     nc = domain.ncells
@@ -933,19 +933,9 @@ def assemble(op, f=None, f_alpha=None, g=None):
     rhs = np.zeros(op.ntot)
     for i in range(DIM):
         rhs[i * nc : (i + 1) * nc] = -h3 * ftil[i]
-    fa_norm = 0.0
-    if f_alpha is not None:
-        fa = np.asarray(f_alpha, dtype=float)
-        if fa.shape != (DIM, DIM, nc):
-            raise GeometryError(f"f_alpha must have shape (3, 3, {nc})")
-        for a in range(DIM):
-            for i in range(DIM):
-                rhs[i * nc : (i + 1) * nc] += op.ops.dbar[a].T @ (h3 * fa[a, i])
-        fa_norm = float(np.sqrt(h3 * np.sum(fa**2)))
     rhs[op.nu : op.nu + nc] = h3 * gv
     data_norms = {
         "f_L6over5": lp_norm(domain, np.sqrt((ftil**2).sum(axis=0)), 1.2),
-        "f_alpha_L2": fa_norm,
         "g_L2": lp_norm(domain, gv, 2),
     }
     return SaddleSystem(

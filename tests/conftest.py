@@ -13,7 +13,7 @@ import pytest
 
 from stokesgreen.acceptance import AcceptanceSuite
 from stokesgreen.coefficients import constant_identity
-from stokesgreen.domain import build_box
+from stokesgreen.domain import build_box, center_pole
 from stokesgreen.system import ConormalOperator
 
 
@@ -40,7 +40,7 @@ def suite():
 @pytest.fixture(scope="session")
 def green32(suite):
     """The sharpest-mollifier Green function at the 32^3 center pole."""
-    return suite.green(32, suite.center_pole(32), 2.0 / 32)
+    return suite.green(32, center_pole(suite.domain(32)), 2.0 / 32)
 
 
 def direct_velocity(op, rhs):

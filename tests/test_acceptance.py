@@ -8,9 +8,13 @@ Stokeslet oracles, old and new measurement).  A negative control checks
 that those criteria still fail on an unresolved pole.
 """
 
+import time
+
 import numpy as np
 
 from stokesgreen import estimates as est
+from stokesgreen.acceptance import CRITERIA_BY_PRESET, AcceptanceSuite, CriterionResult
+from stokesgreen.domain import center_pole
 
 
 def report(result):
@@ -78,16 +82,15 @@ def test_annulus_criteria_fail_on_unresolved_pole(suite):
     n = 32
     h = 1.0 / n
     dom = suite.domain(n)
-    pole = suite.center_pole(n)
+    pole = center_pole(dom)
     (g8,) = [g for g in suite.sweep(n) if g.eps == 8 * h]
     grid = est.profile_grid(dom, suite.green(n, pole, 2 * h))
-    decay = est.annulus_decay_profile(dom, g8, [m * h for m in (4, 5, 6, 7, 8)],
-                                      suite.policy)
-    norms = est.annulus_oscillation_norms(dom, g8, grid, suite.policy)
-    local = est.annulus_local_l1(dom, g8, grid, suite.policy)
-    assert decay.fitted > -1 + suite.policy.slope_window
-    assert norms.fitted > -0.5 + suite.policy.slope_window
-    assert local["G"].fitted > 2 + suite.policy.lq_slope_window
+    decay = est.annulus_decay_profile(dom, g8, [m * h for m in (4, 5, 6, 7, 8)])
+    norms = est.annulus_oscillation_norms(dom, g8, grid)
+    local = est.annulus_local_l1(dom, g8, grid)
+    assert decay.fitted > -1 + est.SLOPE_WINDOW
+    assert norms.fitted > -0.5 + est.SLOPE_WINDOW
+    assert local["G"].fitted > 2 + est.LQ_SLOPE_WINDOW
     assert not decay.passed and not norms.passed
     assert not any(r.passed for r in local.values())
 
@@ -161,3 +164,18 @@ def test_c14_negative_controls(suite):
     assert r.details["tampered_div_broken"]
     assert r.details["tampered_repr_error"] > 100 * 1e-9
     assert r.passed
+
+
+def test_run_times_every_criterion_itself(monkeypatch):
+    def stub(cid):
+        def criterion(self):
+            time.sleep(0.012)
+            return CriterionResult(cid, "stub", True, {})
+        return criterion
+
+    for name in dir(AcceptanceSuite):
+        if name[0] == "c" and name[1:3].isdigit():
+            monkeypatch.setattr(AcceptanceSuite, name, stub(name[:3].upper()))
+    results = AcceptanceSuite("deep").run()
+    assert [r.cid for r in results] == CRITERIA_BY_PRESET["deep"]
+    assert all(r.seconds >= 0.01 and r.peak_rss_mb > 0 for r in results)

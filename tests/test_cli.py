@@ -22,12 +22,14 @@ from stokesgreen.cli import (
     run_experiment,
     verify,
 )
-from stokesgreen.coefficients import CoefficientField, adjoint_field
+from stokesgreen.coefficients import CoefficientField, adjoint_field, constant_identity
+from stokesgreen.domain import build_domain, center_pole
 from stokesgreen.errors import ConfigError
 
 from conftest import random_elliptic_tensor
 
 DATA = Path(__file__).parent / "data"
+NAN = float("nan")
 SRC = Path(__file__).parent.parent / "src"
 BASE = {
     "domain": {"kind": "box", "extent": [1.0, 1.0, 1.0], "h": 0.125},
@@ -150,9 +152,26 @@ def test_malformed_descriptors_exit_2(tmp_path):
         ({"kind": "lshape", "extent": [1, 1, 1], "notch": 5, "h": 0.125}, {"kind": "identity"}),
         (box, {"kind": "layered", "breaks": [-1.0, 0.5], "scales": [1.0], "lam": 0.5}),
         ({"kind": "ball", "radius": 0.25, "h": 0.125}, {"kind": "identity"}),  # below 4h
+        # values every comparison must fail, not pass: NaN, a bool, a period below h
+        ({"kind": "lshape", "extent": [1, 1, 1], "notch": [[NAN] * 3, [1, 1, 1]], "h": 0.125},
+         {"kind": "identity"}),
+        (box, {"kind": "layered", "breaks": [-1.0, NAN], "scales": [1.0, 0.5], "lam": 0.5}),
+        (box, {"kind": "checkerboard", "period": 1e-300, "lam": 0.5}),
+        ({"kind": "ball", "radius": True, "h": 0.125}, {"kind": "identity"}),
     ]:
         raw = dict(BASE, domain=domain, coefficients=coefficients, out=str(tmp_path / "out"))
         assert _run_config(tmp_path / "bad.json", raw) == 2, raw
+
+
+def test_nan_coefficients_file_exits_2(tmp_path):
+    path = tmp_path / "coeffs.bin"
+    constant_identity(build_domain(BASE["domain"])).export(path)
+    raw = np.frombuffer(path.read_bytes(), dtype=float).copy()
+    raw[:810:81] = np.nan  # one entry in each of ten cells
+    path.write_bytes(raw.tobytes())
+    config = dict(BASE, coefficients={"kind": "file", "path": str(path)},
+                  estimates=["representation"], out=str(tmp_path / "out"))
+    assert _run_config(tmp_path / "nan.json", config) == 2
 
 
 _JSON = st.recursive(
@@ -373,7 +392,7 @@ def test_run_and_verify_weak_type_agree(tmp_path):
                                         "h": 1.0 / 16})
     pipe = Pipeline(cfg)
     pipe.build()
-    assert np.array_equal(pipe.pole("interior"), suite.center_pole(16))
+    assert np.array_equal(pipe.pole("interior"), center_pole(suite.domain(16)))
     for eid, accepted in zip(("T1-iii", "T1-iv", "T1-v"), c06.reports):
         (run,) = pipe.run_estimate(eid)
         assert run.samples.keys() == accepted.samples.keys()
