@@ -148,7 +148,7 @@ class AcceptanceSuite:
     def c01_well_posedness(self):
         """Five random mean-zero data sets at 16^3 solve to 1e-9 and agree
         across initial guesses to 1e-8 in the energy norm within 2 min."""
-        t0 = time.time()
+        t0 = time.perf_counter()
         n = 16
         dom = self.domain(n)
         op = self.operator(n)
@@ -168,7 +168,7 @@ class AcceptanceSuite:
             )
             worst_diff = max(worst_diff, diff)
             worst_res = max(worst_res, r1.residual, r2.residual)
-        elapsed = time.time() - t0
+        elapsed = time.perf_counter() - t0
         passed = worst_res <= 1e-9 and worst_diff <= 1e-8 and elapsed <= 120
         return CriterionResult(
             "C01", "well-posedness: unique solves at 1e-9", passed,
@@ -211,7 +211,7 @@ class AcceptanceSuite:
         A_r = {r - h/2 < |x-y| <= 2r + h/2}, r in [4h, 8h].  Subtracting the
         annulus mean removes the normalization constant of G, which bends
         a plain shell-max profile at radii comparable to the domain."""
-        t0 = time.time()
+        t0 = time.perf_counter()
         n = self.n
         h = 1.0 / n
         dom = self.domain(n)
@@ -220,7 +220,7 @@ class AcceptanceSuite:
         rep_int = est.annulus_decay_profile(dom, g_int, radii, "annulus-decay-interior")
         g_bnd = self.green(n, boundary_pole(dom), 2 * h)
         rep_bnd = est.annulus_decay_profile(dom, g_bnd, radii, "annulus-decay-boundary")
-        elapsed = time.time() - t0
+        elapsed = time.perf_counter() - t0
         passed = rep_int.passed and rep_bnd.passed and elapsed <= 600
         return CriterionResult(
             "C04", "pointwise decay slope (interior and boundary poles)", passed,
@@ -484,9 +484,9 @@ class AcceptanceSuite:
         results = []
         for cid in CRITERIA_BY_PRESET[self.preset]:
             name = next(m for m in dir(self) if m.startswith(f"{cid.lower()}_"))
-            t0 = time.time()
+            t0 = time.perf_counter()
             result = getattr(self, name)()
-            result.seconds = time.time() - t0
+            result.seconds = time.perf_counter() - t0
             result.peak_rss_mb = peak_rss_mb()
             results.append(result)
             print(result.line())

@@ -159,12 +159,17 @@ class CoefficientField:
 
     @classmethod
     def import_file(cls, path):
+        """Read an export back; every distinct tensor is checked exactly
+        against the declared lam, as the other builders check theirs."""
         path = Path(path)
         meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
         nbbox = int(np.prod(meta["shape"]))
         raw = np.frombuffer(path.read_bytes(), dtype=float).reshape(nbbox, 81)
         tensors = raw.reshape(nbbox, DIM, DIM, DIM, DIM)
-        return cls(meta["shape"], meta["h"], tensors, np.arange(nbbox), meta["lam"])
+        field = cls(meta["shape"], meta["h"], tensors, np.arange(nbbox), meta["lam"])
+        for row in np.unique(raw, axis=0):
+            _check_member(row.reshape((DIM,) * 4), field.lam)
+        return field
 
 
 def _cell_centers(shape, h):
@@ -248,7 +253,12 @@ def validate_ellipticity(field, trials=16, seed=0):
 
     Returns ``(passed, worst_quotient)`` where the quotient is the smallest
     observed value of the coercivity form divided by ``sum |xi_a|^2`` over
-    random xi-tuples evaluated against every distinct tensor value.
+    ``trials`` random xi-tuples evaluated against every distinct tensor
+    value.  It samples, so it can pass a field whose exact coercivity is
+    below lam.  The exact check is made when a field is built: every
+    builder above, and ``CoefficientField.import_file``, rejects such a
+    field.  A ``CoefficientField`` constructed directly is not checked
+    against lam.
     """
     trials = int(trials)
     if trials < 1:

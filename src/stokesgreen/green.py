@@ -26,6 +26,7 @@ from .errors import (
     SeparationError,
 )
 from .system import (
+    COMPAT_REL,
     DEFAULT_TOL,
     DIM,
     SolveReport,
@@ -52,7 +53,6 @@ class MollifiedSource:
     y_requested: np.ndarray
     snap_distance: float
     eps: float
-    ball_cells: np.ndarray
     omega_eps: float
 
 
@@ -82,7 +82,6 @@ def mollified_rhs(domain, y, eps):
         y_requested=y_req,
         snap_distance=float(np.linalg.norm(y_snap - y_req)),
         eps=float(eps),
-        ball_cells=ball,
         omega_eps=float(omega_eps),
     )
 
@@ -268,25 +267,29 @@ def check_green_invariants(domain, green):
     }
 
 
-def _require_separation(x, y, eps, sigma):
-    # the averaging region around x must stay clear of the mollifier at y:
-    # require a half-(eps+sigma) gap beyond the touching distance
-    gap = float(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float)))
-    need = 1.5 * (eps + sigma)
+@dataclass
+class CrossPoleCheck:
+    """One cross-pole identity: ||a - b|| / max(||a||, ||b||) of its two
+    3x3 sides."""
+
+    discrepancy: float
+
+
+def _cross_pole_check(name, direct, adjoint, a, b):
+    # the second pair must be adjoint-side, and the averaging region around
+    # x must stay clear of the mollifier at y: a half-(eps+sigma) gap beyond
+    # the touching distance
+    if not adjoint.adjoint:
+        raise GeometryError(f"{name} check needs an adjoint-side GreenApprox")
+    gap = float(np.linalg.norm(adjoint.y - direct.y))
+    need = 1.5 * (direct.eps + adjoint.eps)
     if gap + 1e-12 < need:
         raise SeparationError(
             f"poles are {gap:.4g} apart; the check requires at least "
             f"1.5 (eps + sigma) = {need:.4g}"
         )
-    return gap
-
-
-@dataclass
-class AveragingCheck:
-    discrepancy: float
-    pointwise: np.ndarray  # G*_sigma(y, x)
-    averaged: np.ndarray  # average over Omega_sigma(x) of G_eps(., y)^T
-    separation: float
+    scale = max(np.linalg.norm(a), np.linalg.norm(b))
+    return CrossPoleCheck(float(np.linalg.norm(a - b) / scale) if scale > 0 else 0.0)
 
 
 def averaging_identity_check(domain, direct, adjoint):
@@ -295,37 +298,17 @@ def averaging_identity_check(domain, direct, adjoint):
     The identity is exact only in the eps -> 0 limit; callers sweep eps and
     watch the trend, sharing one adjoint GreenApprox at pole x.
     """
-    if not adjoint.adjoint:
-        raise GeometryError("averaging check needs an adjoint-side GreenApprox")
-    x, y = adjoint.y, direct.y
-    sep = _require_separation(x, y, direct.eps, adjoint.eps)
-    lhs = adjoint.value_at(domain, y)  # G*_sigma(y, x)
-    ball = domain.cells_in_ball(x, adjoint.eps)
-    rhs = direct.G[:, :, ball].mean(axis=2).T  # avg of G_eps(z, y)^T
-    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs))
-    disc = np.linalg.norm(lhs - rhs) / scale if scale > 0 else 0.0
-    return AveragingCheck(float(disc), lhs, rhs, sep)
-
-
-@dataclass
-class SymmetryCheck:
-    discrepancy: float
-    direct_value: np.ndarray  # G_eps(x, y)
-    adjoint_value_t: np.ndarray  # G*_sigma(y, x)^T
-    separation: float
+    ball = domain.cells_in_ball(adjoint.y, adjoint.eps)
+    return _cross_pole_check("averaging", direct, adjoint,
+                             adjoint.value_at(domain, direct.y),  # G*_sigma(y, x)
+                             direct.G[:, :, ball].mean(axis=2).T)  # avg of G_eps(z, y)^T
 
 
 def symmetry_check(domain, direct, adjoint):
     """Compare G_eps(x, y) against G*_sigma(y, x)^T at nearest cell centers."""
-    if not adjoint.adjoint:
-        raise GeometryError("symmetry check needs an adjoint-side GreenApprox")
-    x, y = adjoint.y, direct.y
-    sep = _require_separation(x, y, direct.eps, adjoint.eps)
-    a = direct.value_at(domain, x)
-    b = adjoint.value_at(domain, y).T
-    scale = max(np.linalg.norm(a), np.linalg.norm(b))
-    disc = np.linalg.norm(a - b) / scale if scale > 0 else 0.0
-    return SymmetryCheck(float(disc), a, b, sep)
+    return _cross_pole_check("symmetry", direct, adjoint,
+                             direct.value_at(domain, adjoint.y),
+                             adjoint.value_at(domain, direct.y).T)
 
 
 @dataclass
@@ -333,8 +316,6 @@ class RepresentationCheck:
     error_avg: float  # duality form: u averaged over Omega_eps(y)
     error_point: float  # continuum form: u at the snapped pole cell
     predicted: np.ndarray
-    u_avg: np.ndarray
-    u_point: np.ndarray
     u_max: float
 
 
@@ -355,7 +336,7 @@ def representation_check(domain, coeffs, green, f=None, g=None, tol=DEFAULT_TOL,
     fv = np.zeros((DIM, nc)) if f is None else np.asarray(f, dtype=float)
     gv = np.zeros(nc) if g is None else np.asarray(g, dtype=float)
     fnorm = np.sqrt(h3 * np.sum(fv**2))
-    if fnorm > 0 and abs(fv.mean(axis=1)).max() * domain.volume > 1e-10 * fnorm:
+    if fnorm > 0 and abs(fv.mean(axis=1)).max() * domain.volume > COMPAT_REL * fnorm:
         raise CompatibilityError("representation data f must be mean-zero")
     op = adjoint_operator
     if op is None:
@@ -376,8 +357,6 @@ def representation_check(domain, coeffs, green, f=None, g=None, tol=DEFAULT_TOL,
         error_avg=float(np.abs(u_avg - predicted).max() / scale),
         error_point=float(np.abs(u_point - predicted).max() / scale),
         predicted=predicted,
-        u_avg=u_avg,
-        u_point=u_point,
         u_max=umax,
     )
 

@@ -430,8 +430,7 @@ class ConormalOperator:
         if self.coeffs.is_self_adjoint():
             return self
         if self._adjoint is None:
-            if self._prec is None:
-                self._prec = self._build_prec()
+            self.preconditioner()  # built here, so the copy shares it
             adj = copy.copy(self)
             adj.coeffs = adjoint_field(self.coeffs)
             adj.K = self.K.T.tocsr()

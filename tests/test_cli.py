@@ -22,7 +22,12 @@ from stokesgreen.cli import (
     run_experiment,
     verify,
 )
-from stokesgreen.coefficients import CoefficientField, adjoint_field, constant_identity
+from stokesgreen.coefficients import (
+    CoefficientField,
+    adjoint_field,
+    coercivity_lower_bound,
+    constant_identity,
+)
 from stokesgreen.domain import build_domain, center_pole
 from stokesgreen.errors import ConfigError
 
@@ -84,6 +89,8 @@ MALFORMED = [
      "memory_budget_mb": "big", "preset": "smoke"},
     {"domain": {"kind": "box", "extent": [1, 1, 1], "h": 0.125}, "fixture_dir": 7},
     {"domain": {"kind": "box", "extent": [1, 1, 1], "h": 0.125}, "poles": [["a", "b", "c"]]},
+    {"domain": {"kind": "box", "extent": [1, 1, 1], "h": 0.125},
+     "poles": [[0.3, 0.3, 0.3], [0.7, 0.7, 0.7]]},  # one explicit pole at most
 ]
 
 
@@ -172,6 +179,22 @@ def test_nan_coefficients_file_exits_2(tmp_path):
     config = dict(BASE, coefficients={"kind": "file", "path": str(path)},
                   estimates=["representation"], out=str(tmp_path / "out"))
     assert _run_config(tmp_path / "nan.json", config) == 2
+
+
+def test_weak_coefficients_file_exits_2_at_every_seed(tmp_path):
+    # exact coercivity 0.05 against a declared lam of 0.5; 16 sampled
+    # directions rarely come near v, so only the exact check sees it
+    v = np.ones(9) / 3.0
+    M = np.eye(9) - 0.95 * np.outer(v, v)
+    tensor = M.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3)
+    assert coercivity_lower_bound(tensor) == pytest.approx(0.05)
+    path = tmp_path / "weak.bin"
+    CoefficientField((8, 8, 8), 0.125, tensor[None], np.zeros(512, dtype=np.int32),
+                     0.5).export(path)
+    for seed in (0, 1, 2):
+        config = dict(BASE, coefficients={"kind": "file", "path": str(path)}, seed=seed,
+                      out=str(tmp_path / "out"))
+        assert _run_config(tmp_path / "weak.json", config) == 2, seed
 
 
 _JSON = st.recursive(
@@ -318,6 +341,20 @@ def test_export_and_fixture_verify_and_tamper(tmp_path):
     assert verify(cfg) == 1
 
 
+def test_fixture_verify_reports_unreadable_exports(tmp_path, capsys):
+    out = tmp_path / "fix"
+    assert main(["export", "--config", str(_write_export_config(tmp_path, out))]) == 0
+    exports = sorted(out.glob("green_*.bin"))
+    assert len(exports) == 2
+    exports[0].write_bytes(exports[0].read_bytes()[:1000])
+    exports[1].with_suffix(".bin.json").unlink()
+    capsys.readouterr()
+    assert verify(make_config(tmp_path, fixture_dir=str(out))) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"FAIL {p.name}" for p in exports]
+    assert all("unreadable export" in line for line in lines)
+
+
 def test_nonsymmetric_fixture_verify_assembles_only_the_adjoint(tmp_path, monkeypatch):
     tensor = random_elliptic_tensor(np.random.default_rng(3))
     field = CoefficientField((8, 8, 8), 0.125, tensor[None], np.zeros(512, dtype=np.int32),
@@ -370,6 +407,16 @@ def test_self_adjoint_pipeline_reuses_operator_for_adjoint(tmp_path):
     assert op.adjoint() is op
 
 
+def test_one_pole_serves_both_kinds(tmp_path):
+    pipe = Pipeline(make_config(tmp_path, poles=[[0.3, 0.3, 0.3]]))
+    pipe.build()
+    assert set(pipe.poles) == {"interior", "boundary"}
+    assert all(np.array_equal(p, [0.3, 0.3, 0.3]) for p in pipe.poles.values())
+    pipe = Pipeline(make_config(tmp_path, poles="auto-boundary"))
+    pipe.build()
+    assert pipe.poles["interior"] is pipe.poles["boundary"]
+
+
 def test_estimate_table_order_and_unknown_id(tmp_path):
     assert VALID_ESTIMATES == list(ESTIMATES)
     assert VALID_ESTIMATES[:16] == [f"{t}-{k}" for t in ("T1", "T2") for k in (
@@ -392,7 +439,7 @@ def test_run_and_verify_weak_type_agree(tmp_path):
                                         "h": 1.0 / 16})
     pipe = Pipeline(cfg)
     pipe.build()
-    assert np.array_equal(pipe.pole("interior"), center_pole(suite.domain(16)))
+    assert np.array_equal(pipe.poles["interior"], center_pole(suite.domain(16)))
     for eid, accepted in zip(("T1-iii", "T1-iv", "T1-v"), c06.reports):
         (run,) = pipe.run_estimate(eid)
         assert run.samples.keys() == accepted.samples.keys()

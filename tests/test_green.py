@@ -6,6 +6,7 @@ from stokesgreen.domain import build_box, center_pole
 from stokesgreen.errors import (
     CompatibilityError,
     DomainError,
+    GeometryError,
     ResolutionError,
     SeparationError,
     SolverError,
@@ -178,6 +179,32 @@ def test_separation_guard(box16):
         symmetry_check(domain, gd, ga)
     with pytest.raises(SeparationError):
         averaging_identity_check(domain, gd, ga)
+
+
+def _relative_gap(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b))
+
+
+def test_cross_pole_checks_measure_the_relative_gap_at_the_snapped_poles(box16):
+    domain, coeffs, op = box16
+    gd = compute_green(domain, coeffs, (0.22, 0.47, 0.46), 0.125, operator=op)
+    ga = compute_adjoint_green(domain, coeffs, (0.72, 0.46, 0.47), 0.125,
+                               operator=op.adjoint())
+    at_x, at_y = domain.nearest_cell(ga.y), domain.nearest_cell(gd.y)
+    averaged = gd.G[:, :, domain.cells_in_ball(ga.y, ga.eps)].mean(axis=2).T
+    assert symmetry_check(domain, gd, ga).discrepancy == _relative_gap(
+        gd.G[:, :, at_x], ga.G[:, :, at_y].T)
+    assert averaging_identity_check(domain, gd, ga).discrepancy == _relative_gap(
+        ga.G[:, :, at_y], averaged)
+
+
+def test_cross_pole_checks_reject_a_direct_side_pair(box16):
+    domain, coeffs, op = box16
+    gd = compute_green(domain, coeffs, (0.21875, 0.46875, 0.46875), 0.125, operator=op)
+    gx = compute_green(domain, coeffs, (0.71875, 0.46875, 0.46875), 0.125, operator=op)
+    for name, check in (("symmetry", symmetry_check), ("averaging", averaging_identity_check)):
+        with pytest.raises(GeometryError, match=f"^{name} check needs an adjoint-side"):
+            check(domain, gd, gx)
 
 
 def test_symmetry_discrepancy_symmetric_under_swap(box16):
