@@ -9,7 +9,11 @@ configuration digest.  Subcommands:
           or re-check a stored fixture when ``fixture_dir`` is set
   export  build and export domain/coefficients/Green fields, no estimates
 
-Exit codes: 0 pass, 1 estimate failure, 2 config error, 3 solver failure.
+A config that cannot run (an eps_sweep entry outside [2h, 1], a pole in no
+included cell, a coefficient file on another grid) is a config error, found
+by ``Pipeline.build`` before the assembly.  Exit codes, mapped in ``main``
+only: 0 pass, 1 estimate failure or any other library error, 2 config
+error, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from .system import (
     DEFAULT_STAB,
     DEFAULT_TOL,
     ConormalOperator,
+    _check_grid,
     poincare_constant,
     shared_operator,
     solve_divergence,
@@ -289,9 +294,11 @@ class ExperimentConfig:
         f"null or one of {sorted(PRESET_SIZES)}", default=None)
 
     @classmethod
-    def from_dict(cls, raw):
+    def from_dict(cls, raw, **overrides):
+        """Validate raw once, with overrides (command-line settings) applied."""
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
+        raw = {**raw, **overrides}
         known = set(cls.__dataclass_fields__)
         unknown = set(raw) - known
         if unknown:
@@ -301,12 +308,12 @@ class ExperimentConfig:
         return cfg
 
     @classmethod
-    def from_file(cls, path):
+    def from_file(cls, path, **overrides):
         try:
             raw = json.loads(Path(path).read_text())
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(raw, **overrides)
 
     def validate(self):
         for f in fields(self):
@@ -324,10 +331,13 @@ class ExperimentConfig:
 
 
 def _build_fields(cfg, stage=lambda name, build: build()):
-    """Domain and coefficients of a config; a descriptor a builder rejects is a config error."""
+    """Domain and coefficients of a config; a descriptor a builder rejects,
+    or coefficients on another grid than the domain's, is a config error."""
     try:
         domain = stage("domain", lambda: build_domain(cfg.domain))
-        return domain, stage("coefficients", lambda: build_coefficients(domain, cfg.coefficients))
+        coeffs = stage("coefficients", lambda: build_coefficients(domain, cfg.coefficients))
+        _check_grid(domain, coeffs)
+        return domain, coeffs
     except StokesGreenError as exc:
         raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
 
@@ -366,11 +376,6 @@ class Pipeline:
     def build(self):
         cfg = self.config
         self.domain, self.coeffs = _build_fields(cfg, self._stage)
-        self.operator = self._stage(
-            "assemble",
-            lambda: shared_operator(self.domain, self.coeffs,
-                                    cfg.solver.get("c_s", DEFAULT_STAB)),
-        )
         # the pole each runner measures at, by kind; "auto-boundary" and an
         # explicit pole give both kinds their one pole
         if cfg.poles == "auto":
@@ -380,11 +385,24 @@ class Pipeline:
             one = (boundary_pole(self.domain) if cfg.poles == "auto-boundary"
                    else np.asarray(cfg.poles[0], dtype=float))
             self.poles = {"interior": one, "boundary": one}
+        for pole in self.poles.values():
+            if not self.domain.contains(pole):
+                hint = (f" (placed by poles {cfg.poles!r}); give an explicit pole"
+                        if isinstance(cfg.poles, str) else "")
+                raise ConfigError(f"pole {pole.tolist()} lies in no included cell{hint}")
         h = self.domain.h
         if cfg.eps_sweep == "auto":
             self.eps_sweep = [8 * h, 6 * h, 4 * h, 2 * h]
         else:
             self.eps_sweep = [float(e) for e in cfg.eps_sweep]
+        for eps in self.eps_sweep:  # the range mollified_rhs accepts
+            if not 2 * h <= eps <= 1:
+                raise ConfigError(f"eps_sweep entry {eps} is outside [2h, 1] = [{2 * h}, 1]")
+        self.operator = self._stage(
+            "assemble",
+            lambda: shared_operator(self.domain, self.coeffs,
+                                    cfg.solver.get("c_s", DEFAULT_STAB)),
+        )
 
     def green(self, pole, eps):
         key = (tuple(np.round(pole, 12)), round(eps, 12))
@@ -427,25 +445,18 @@ class Pipeline:
 
 
 def run_experiment(config):
-    """Execute the configured pipeline; returns the process exit code."""
+    """Execute the configured pipeline; 0 if every report passes, else 1.  A
+    library error after ``build`` is recorded in the manifest and raised."""
     pipe = Pipeline(config)
+    pipe.build()
     try:
-        pipe.build()
         for eid in config.estimates:
             pipe.reports.extend(pipe._stage(f"estimate:{eid}", lambda: pipe.run_estimate(eid)))
         pipe.export_artifacts()
-    except SolverError as exc:
-        pipe.manifest["error"] = f"solver failure: {exc}"
-        pipe.finalize("failed")
-        print(f"error: solver failure: {exc}", file=sys.stderr)
-        return 3
-    except ConfigError:
-        raise
     except StokesGreenError as exc:
         pipe.manifest["error"] = f"{type(exc).__name__}: {exc}"
         pipe.finalize("failed")
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        raise
     all_pass = all(r.passed for r in pipe.reports)
     pipe.finalize("ok" if all_pass else "estimate-failures")
     for r in pipe.reports:
@@ -482,7 +493,7 @@ def verify_fixture(config):
         rc = representation_check(domain, coeffs, green, f=f,
                                   tol=stored.solver.get("tol", DEFAULT_TOL),
                                   adjoint_operator=adjoint)
-        if rc.error_avg > 1e-6:
+        if not rc.error_avg <= 1e-6:  # NaN (no cell in the eps-ball) fails too
             failures.append(
                 f"{path.name}: representation check failed (err {rc.error_avg:.3e})"
             )
@@ -531,8 +542,7 @@ def export(config):
     pipe = Pipeline(config)
     pipe.build()
     for eps in pipe.eps_sweep:  # the interior pole only; exports are per-pole heavy
-        if eps >= 2 * pipe.domain.h:
-            pipe.green(pipe.poles["interior"], eps)
+        pipe.green(pipe.poles["interior"], eps)
     pipe.export_artifacts()
     pipe.finalize("ok")
     print(f"exported {len(pipe._greens)} Green fields to {pipe.out}")
@@ -540,19 +550,12 @@ def export(config):
 
 
 def _load_config(args):
+    overrides = {k: v for k, v in (("preset", args.preset), ("out", args.out)) if v}
     if args.config:
-        cfg = ExperimentConfig.from_file(args.config)
-    elif args.preset:
-        raw = dict(PRESET_CONFIGS[args.preset])
-        raw["preset"] = args.preset
-        cfg = ExperimentConfig.from_dict(raw)
-    else:
-        raise ConfigError("either --config or --preset is required")
+        return ExperimentConfig.from_file(args.config, **overrides)
     if args.preset:
-        cfg.preset = args.preset
-    if args.out:
-        cfg.out = args.out
-    return cfg
+        return ExperimentConfig.from_dict(PRESET_CONFIGS[args.preset], **overrides)
+    raise ConfigError("either --config or --preset is required")
 
 
 def main(argv=None):
@@ -572,16 +575,9 @@ def main(argv=None):
         p.add_argument("--preset", choices=sorted(PRESET_SIZES),
                        help="built-in preset (smoke/standard/deep)")
     args = parser.parse_args(argv)
+    command = {"run": run_experiment, "verify": verify, "export": export}[args.command]
     try:
-        cfg = _load_config(args)
-        if args.command == "run":
-            return run_experiment(cfg)
-        if args.command == "verify":
-            return verify(cfg)
-        return export(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
+        return command(_load_config(args))
+    except StokesGreenError as exc:  # the one place an error becomes an exit code
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ConfigError) else 3 if isinstance(exc, SolverError) else 1

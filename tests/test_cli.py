@@ -29,7 +29,7 @@ from stokesgreen.coefficients import (
     constant_identity,
 )
 from stokesgreen.domain import build_domain, center_pole
-from stokesgreen.errors import ConfigError
+from stokesgreen.errors import ConfigError, DomainError, SolverError
 
 from conftest import random_elliptic_tensor
 
@@ -119,7 +119,7 @@ PROBE_VALUES = ["x", -1, 0, 1e9, None, [], {}, [1, 2], True, {"kind": "nope"},
                 ["a", "b", "c"], float("nan")]
 # the only probe cases that are valid configs; the 8^3 decay fit has too few
 # radii (exit 1), and c_s = 1e9 stalls the solver (exit 3)
-PROBE_VALID = {("eps_sweep", "[1, 2]"), ("estimates", "[]"), ("solver", "{}"),
+PROBE_VALID = {("estimates", "[]"), ("solver", "{}"),
                ("seed", "0"), ("memory_budget_mb", "null"), ("fixture_dir", '"x"'),
                ("fixture_dir", "null"), ("preset", "null"), ("out", '"x"'),
                ("solver.tol", "1000000000.0"), ("solver.c_s", "1000000000.0")}
@@ -168,6 +168,60 @@ def test_malformed_descriptors_exit_2(tmp_path):
     ]:
         raw = dict(BASE, domain=domain, coefficients=coefficients, out=str(tmp_path / "out"))
         assert _run_config(tmp_path / "bad.json", raw) == 2, raw
+
+
+LSHAPE = {"kind": "lshape", "extent": [1, 1, 1], "notch": [[0.5, 0.5, 0.5], [1, 1, 1]],
+          "h": 0.125}
+# configs that validate field by field but cannot run; "auto" puts both
+# poles at (0.5625, 0.5625, 0.5625), in the notch; the coefficient file
+# holds a 16^3 grid
+UNRUNNABLE = {
+    "pole-outside-lshape": {"domain": LSHAPE, "poles": [[0.8, 0.8, 0.8]]},
+    "auto-poles-on-lshape": {"domain": LSHAPE, "poles": "auto"},
+    "eps-below-2h": {"eps_sweep": [0.1]},
+    "eps-above-1": {"eps_sweep": [1, 2]},
+    "coefficient-grid": {"coefficients": {"kind": "file", "path": "coeffs16.bin"}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNRUNNABLE))
+def test_config_that_cannot_run_exits_2_from_every_command(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    constant_identity(build_domain(dict(BASE["domain"], h=0.0625))).export("coeffs16.bin")
+    raw = dict(BASE, estimates=["representation"], out="out", **UNRUNNABLE[case])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    for command in ("run", "export"):
+        assert main([command, "--config", str(path)]) == 2, command
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ConfigError: "), line
+    assert not (tmp_path / "out").exists()  # found before anything is written
+    if case == "coefficient-grid":  # a fixture whose stored config has the same fault
+        fdir = tmp_path / "fixture"
+        fdir.mkdir()
+        (fdir / "config.json").write_text(json.dumps(raw))
+        path.write_text(json.dumps(dict(BASE, fixture_dir=str(fdir), out="verify")))
+        assert main(["verify", "--config", str(path)]) == 2
+
+
+def test_library_errors_exit_with_their_code_from_main(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(BASE, estimates=["representation"],
+                                    out=str(tmp_path / "out"))))
+
+    def fail(error):
+        def compute_green(*args, **kwargs):
+            raise error("injected")
+        return compute_green
+
+    for error, code in ((DomainError, 1), (SolverError, 3)):
+        monkeypatch.setattr(cli, "compute_green", fail(error))
+        for command in ("export", "run"):
+            assert main([command, "--config", str(path)]) == code, (error, command)
+            assert capsys.readouterr().err == f"error: {error.__name__}: injected\n"
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == f"{error.__name__}: injected"
 
 
 def test_nan_coefficients_file_exits_2(tmp_path):
@@ -353,6 +407,26 @@ def test_fixture_verify_reports_unreadable_exports(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == [f"FAIL {p.name}" for p in exports]
     assert all("unreadable export" in line for line in lines)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the mean of an empty slice
+def test_fixture_verify_fails_an_empty_eps_ball(tmp_path, capsys):
+    # a sidecar moved to an eps-ball that holds no cell centre gives a NaN
+    # representation error, which must fail, not pass
+    out = tmp_path / "fix"
+    path = _write_export_config(tmp_path, out)
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), eps_sweep=[0.25])))
+    assert main(["export", "--config", str(path)]) == 0
+    (export,) = out.glob("green_*.bin")
+    sidecar = export.with_suffix(".bin.json")
+    sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()),
+                                       y=[0.3, 0.3, 0.3], eps=0.01)))
+    capsys.readouterr()
+    path = tmp_path / "verify.json"
+    path.write_text(json.dumps(dict(BASE, fixture_dir=str(out), out=str(tmp_path / "v"))))
+    assert main(["verify", "--config", str(path)]) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith(f"FAIL {export.name}: representation check failed (err nan)")
 
 
 def test_nonsymmetric_fixture_verify_assembles_only_the_adjoint(tmp_path, monkeypatch):
