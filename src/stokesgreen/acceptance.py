@@ -1,9 +1,12 @@
 """End-to-end acceptance criteria for the solver and estimate pipeline.
 
 Each criterion is a self-contained check with pinned tolerances, runnable
-programmatically (CLI ``verify``) or from the test suite.  Heavy artifacts
-(assembled operators, Green sweeps) are cached on the suite object and
-shared between criteria.
+programmatically (CLI ``verify``) or from the test suite.  The suite keeps
+one built ``cli.Pipeline`` per grid, an identity box at h = 1/n, and every
+criterion reads its domain, operator, poles, eps sweep and Green cache, so
+criteria on one grid share one operator and each Green pair is solved
+once.  C08 to C11 measure through the runners of ``stokesgreen run``
+(``cli.measure_*``) at their pinned points and apply their own rules.
 
 Presets map to grid sizes: smoke 16^3, standard 24^3, deep 32^3.  The deep
 preset runs every criterion at its pinned scale; smaller presets run the
@@ -12,13 +15,23 @@ subset that is meaningful at their resolution.
 
 from __future__ import annotations
 
-import resource
 import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from . import estimates as est
+from .cli import (
+    PRESET_SIZES,
+    ExperimentConfig,
+    Pipeline,
+    identity_box,
+    measure_bogovskii,
+    measure_caccioppoli,
+    measure_representation,
+    measure_symmetry,
+    peak_rss_mb,
+)
 from .coefficients import (
     CoefficientField,
     Frame,
@@ -31,59 +44,39 @@ from .coefficients import (
 )
 from .domain import (
     BallQuery,
-    boundary_pole,
     build_box,
     build_l_shape,
-    center_pole,
     dist_to_boundary,
     exterior_density,
 )
 from .errors import StokesGreenError
-from .green import (
-    averaging_identity_check,
-    check_green_invariants,
-    compute_adjoint_green,
-    compute_green,
-    representation_check,
-    symmetry_check,
-)
-from .system import (
-    DEFAULT_TOL,
-    assemble,
-    lp_norm,
-    shared_operator,
-    solve_conormal,
-    solve_divergence,
-)
+from .green import check_green_invariants, representation_check
+from .system import DEFAULT_TOL, assemble, lp_norm, solve_conormal
 
-PRESET_SIZES = {"smoke": 16, "standard": 24, "deep": 32}
 # Resident-set need of each preset, used by the graceful memory skip: the
 # peak RSS of `stokesgreen verify --preset P` in a fresh process (getrusage
 # of the child; numpy 2.4, scipy 1.17, 2-core x86-64 Linux) plus 25%,
-# rounded up to 10 MB.  Measured: smoke 180 MB, reached in C10; standard
-# 240 MB and deep 225 MB, reached in C12 (its 64^3 fields).  C10 borrows
-# the suite's 32^3 identity operator in standard and deep and assembles its
-# own only in smoke; each domain keeps the Krylov basis its solves have
+# rounded up to 10 MB.  Measured: smoke 190 MB, reached in C12 (C10's
+# 32^3 pipeline is still held then); standard 239 MB and deep 227 MB,
+# reached in C12 (its 64^3 fields).  Every grid's pipeline lives as long
+# as the suite, and each operator keeps the Krylov basis its solves have
 # touched.
-MEMORY_REQUIREMENT_MB = {"smoke": 230, "standard": 310, "deep": 290}
+MEMORY_REQUIREMENT_MB = {"smoke": 240, "standard": 310, "deep": 290}
 
 # C08 is defined at h = 1/16 and h = 1/32 in every preset: its mollifier
 # radius eps must be at least 2h on both grids
 C08_GRIDS = (16, 32)
 C08_POLES = (np.array([0.21875, 0.46875, 0.46875]), np.array([0.71875, 0.46875, 0.46875]))
 C08_EPS = 0.125
+# C09 measures at this pole with eps = 4h on 8^3, 16^3 and 32^3; C14
+# tampers with the same pair on its grid
+C09_POLE = np.array([0.3125, 0.5625, 0.5625])
 
 CRITERIA_BY_PRESET = {
     "smoke": ["C01", "C02", "C10", "C12", "C13", "C14"],
     "standard": ["C01", "C02", "C03", "C08", "C10", "C11", "C12", "C13", "C14"],
     "deep": [f"C{i:02d}" for i in range(1, 15)],
 }
-
-
-def peak_rss_mb():
-    """Peak resident set of this process so far, in MB (getrusage's
-    ru_maxrss, which Linux reports in kB)."""
-    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
 @dataclass
@@ -102,7 +95,7 @@ class CriterionResult:
 
 
 class AcceptanceSuite:
-    """Shared-state runner for the acceptance criteria."""
+    """Runs the acceptance criteria over one built Pipeline per grid."""
 
     def __init__(self, preset="deep", seed=0, tol=DEFAULT_TOL):
         if preset not in PRESET_SIZES:
@@ -111,37 +104,15 @@ class AcceptanceSuite:
         self.n = PRESET_SIZES[preset]
         self.seed = seed
         self.tol = tol
-        self._domains = {}
-        self._operators = {}
-        self._greens = {}
+        self._pipelines = {}
 
-    # -- caches -----------------------------------------------------------
-
-    def domain(self, n):
-        if n not in self._domains:
-            self._domains[n] = build_box((1.0, 1.0, 1.0), 1.0 / n)
-        return self._domains[n]
-
-    def operator(self, n):
-        if n not in self._operators:
-            dom = self.domain(n)
-            self._operators[n] = shared_operator(dom, constant_identity(dom))
-        return self._operators[n]
-
-    def green(self, n, pole, eps):
-        key = (n, tuple(np.round(pole, 9)), round(eps, 12))
-        if key not in self._greens:
-            op = self.operator(n)
-            self._greens[key] = compute_green(
-                self.domain(n), op.coeffs, np.asarray(pole), eps,
-                tol=self.tol, operator=op,
-            )
-        return self._greens[key]
-
-    def sweep(self, n):
-        h = 1.0 / n
-        pole = center_pole(self.domain(n))
-        return [self.green(n, pole, m * h) for m in (8, 6, 4, 2)]
+    def pipeline(self, n):
+        """The built identity box at h = 1/n, solving to the suite's tol."""
+        if n not in self._pipelines:
+            pipe = Pipeline(ExperimentConfig.from_dict(identity_box(n, solver={"tol": self.tol})))
+            pipe.build()
+            self._pipelines[n] = pipe
+        return self._pipelines[n]
 
     # -- criteria ---------------------------------------------------------
 
@@ -149,9 +120,8 @@ class AcceptanceSuite:
         """Five random mean-zero data sets at 16^3 solve to 1e-9 and agree
         across initial guesses to 1e-8 in the energy norm within 2 min."""
         t0 = time.perf_counter()
-        n = 16
-        dom = self.domain(n)
-        op = self.operator(n)
+        pipe = self.pipeline(16)
+        dom, op = pipe.domain, pipe.operator
         rng = np.random.default_rng(self.seed + 1)
         worst_diff = 0.0
         worst_res = 0.0
@@ -179,11 +149,12 @@ class AcceptanceSuite:
     def c02_divergence_normalization(self):
         """Every Green column is divergence-free up to the reported
         stabilization slack and mean-zero to 1e-10 relative."""
-        greens = self.sweep(self.n)
+        pipe = self.pipeline(self.n)
         details = {}
         ok = True
-        for g in greens:
-            inv = check_green_invariants(self.domain(self.n), g)
+        for eps in pipe.eps_sweep:
+            g = pipe.green(pipe.poles["interior"], eps)
+            inv = check_green_invariants(pipe.domain, g)
             details[f"eps={g.eps:.4g}"] = {
                 "div": inv["div_residuals"].tolist(),
                 "slack": inv["stab_slack"].tolist(),
@@ -196,8 +167,9 @@ class AcceptanceSuite:
 
     def c03_energy_scaling(self):
         """C-hat(eps) varies by at most a factor 2 over the eps sweep."""
-        greens = self.sweep(self.n)
-        report = est.energy_envelope_report(greens)
+        pipe = self.pipeline(self.n)
+        report = est.energy_envelope_report(
+            [pipe.green(pipe.poles["interior"], eps) for eps in pipe.eps_sweep])
         envs = report.samples["quotients"]
         return CriterionResult(
             "C03", "energy envelope uniform over eps sweep", report.passed,
@@ -212,13 +184,13 @@ class AcceptanceSuite:
         annulus mean removes the normalization constant of G, which bends
         a plain shell-max profile at radii comparable to the domain."""
         t0 = time.perf_counter()
-        n = self.n
-        h = 1.0 / n
-        dom = self.domain(n)
+        pipe = self.pipeline(self.n)
+        dom = pipe.domain
+        h = dom.h
         radii = [m * h for m in (4, 5, 6, 7, 8)]
-        g_int = self.green(n, center_pole(dom), 2 * h)
+        g_int = pipe.green(pipe.poles["interior"], 2 * h)
         rep_int = est.annulus_decay_profile(dom, g_int, radii, "annulus-decay-interior")
-        g_bnd = self.green(n, boundary_pole(dom), 2 * h)
+        g_bnd = pipe.green(pipe.poles["boundary"], 2 * h)
         rep_bnd = est.annulus_decay_profile(dom, g_bnd, radii, "annulus-decay-boundary")
         elapsed = time.perf_counter() - t0
         passed = rep_int.passed and rep_bnd.passed and elapsed <= 600
@@ -236,8 +208,9 @@ class AcceptanceSuite:
         annulus A_R = {R < |x-y| <= 2R} inside Omega minus B_R.  The
         annulus keeps its shape as R grows, where the full exterior is cut
         off by the cube's faces."""
-        dom = self.domain(self.n)
-        g = self.green(self.n, center_pole(dom), 2.0 / self.n)
+        pipe = self.pipeline(self.n)
+        dom = pipe.domain
+        g = pipe.green(pipe.poles["interior"], 2 * dom.h)
         grid = est.profile_grid(dom, g)
         report = est.annulus_oscillation_norms(dom, g, grid, estimate_id="annulus-norms")
         return CriterionResult(
@@ -250,8 +223,9 @@ class AcceptanceSuite:
     def c06_weak_type(self):
         """Envelopes t^p |{.>t}| flat within a factor 5 over the admissible,
         grid-resolved threshold range."""
-        dom = self.domain(self.n)
-        g = self.green(self.n, center_pole(dom), 2.0 / self.n)
+        pipe = self.pipeline(self.n)
+        dom = pipe.domain
+        g = pipe.green(pipe.poles["interior"], 2 * dom.h)
         base = min(0.5, dist_to_boundary(dom, g.y))  # R0 = 1/2
         names = ("G", "DG", "Pi")
         reports = [est.weak_type_envelope(dom, g, name, base, f"T1-weak-{name}")
@@ -270,8 +244,9 @@ class AcceptanceSuite:
         on the annulus A' = {R/2 < |x-y| <= R} inside B_R: the L1 norms of
         G - (G)_A', DG and Pi.  Leaving out the inner ball keeps the
         unresolved mollifier core (R is only 2.25-3.9 eps) out of the fit."""
-        dom = self.domain(self.n)
-        g = self.green(self.n, center_pole(dom), 2.0 / self.n)
+        pipe = self.pipeline(self.n)
+        dom = pipe.domain
+        g = pipe.green(pipe.poles["interior"], 2 * dom.h)
         grid = est.profile_grid(dom, g)
         reports = est.annulus_local_l1(dom, g, grid, id_prefix="annulus-L1")
         ok = all(r.passed for r in reports.values())
@@ -286,17 +261,10 @@ class AcceptanceSuite:
         """Symmetry and averaging discrepancies below 15% at h = 1/32 and
         strictly smaller than at h = 1/16 for the same physical setup."""
         y, x = C08_POLES
-        eps = sigma = C08_EPS
         out = {}
         for n in C08_GRIDS:
-            dom = self.domain(n)
-            op = self.operator(n)
-            gd = self.green(n, y, eps)
-            ga = compute_adjoint_green(dom, op.coeffs, x, sigma, tol=self.tol,
-                                       operator=op.adjoint())
-            sc = symmetry_check(dom, gd, ga)
-            ac = averaging_identity_check(dom, gd, ga)
-            out[n] = {"symmetry": sc.discrepancy, "averaging": ac.discrepancy}
+            sym, avg = measure_symmetry(self.pipeline(n), y, x, C08_EPS)
+            out[n] = {"symmetry": sym.fitted, "averaging": avg.fitted}
         coarse, fine = C08_GRIDS
         passed = (
             out[fine]["symmetry"] <= 0.15
@@ -316,11 +284,8 @@ class AcceptanceSuite:
         avg_error = None
         scale = None
         for n in (8, 16, 32):
-            dom = self.domain(n)
-            op = self.operator(n)
-            h = dom.h
-            y = np.array([0.3125, 0.5625, 0.5625])
-            green = self.green(n, y, 4 * h)
+            pipe = self.pipeline(n)
+            dom = pipe.domain
             ctr = dom.cell_centers
             f = np.stack([
                 np.exp(-((ctr[:, 0] - 0.75) ** 2 + (ctr[:, 1] - 0.4) ** 2
@@ -330,10 +295,7 @@ class AcceptanceSuite:
             ])
             f -= f.mean(axis=1, keepdims=True)
             gdata = 0.5 * np.cos(np.pi * ctr[:, 2]) * np.sin(np.pi * ctr[:, 0])
-            rc = representation_check(
-                dom, op.coeffs, green, f=f, g=gdata, tol=self.tol,
-                adjoint_operator=op.adjoint(),
-            )
+            rc = measure_representation(pipe, C09_POLE, 4 * dom.h, f, gdata)
             point_errors[n] = rc.error_point
             if n == 16:
                 data_scale = (lp_norm(dom, np.sqrt((f**2).sum(axis=0)), 2)
@@ -351,12 +313,7 @@ class AcceptanceSuite:
 
     def c10_bogovskii(self):
         """Divergence-solve quotient varies at most 25% over h refinement."""
-        quots = {}
-        for n in (8, 16, 32):
-            dom = self.domain(n)
-            g = np.where(dom.cell_centers[:, 0] < 0.5, 1.0, -1.0)
-            sol = solve_divergence(dom, g, tol=self.tol)
-            quots[n] = sol.quotient
+        quots = {n: measure_bogovskii(self.pipeline(n)).fitted for n in (8, 16, 32)}
         vals = list(quots.values())
         ratio = max(vals) / min(vals)
         return CriterionResult(
@@ -369,21 +326,10 @@ class AcceptanceSuite:
         across a 3-scale radius sweep."""
         n = self.n
         h = 1.0 / n
-        dom = self.domain(n)
         pole = np.full(3, (int(0.27 * n) + 0.5) * h)
-        green = self.green(n, pole, 4 * h)
-        u = green.G[:, 0, :]
-        p = green.Pi[0]
-        f_inf = 1.0 / dom.volume
         xi = np.full(3, (int(0.70 * n) + 0.5) * h)
-        sweep_i = [0.28, 0.28 / np.sqrt(2), 0.14]
-        rep_i = est.caccioppoli_sweep(dom, u, p, f_inf, xi, sweep_i, "interior",
-                                      estimate_id="caccioppoli-interior")
-        xb = np.array([1.0, (int(0.70 * n) + 0.5) * h, (int(0.70 * n) + 0.5) * h])
-        sweep_b = [0.4, 0.4 / np.sqrt(2), 0.2]
-        rep_b = est.caccioppoli_sweep(dom, u, p, f_inf, xb, sweep_b, "boundary",
-                                      theta=2.0, R0=0.5,
-                                      estimate_id="caccioppoli-boundary")
+        xb = np.array([1.0, xi[1], xi[2]])
+        rep_i, rep_b = measure_caccioppoli(self.pipeline(n), pole, 4 * h, xi, 0.28, xb, 0.4)
         passed = rep_i.passed and rep_b.passed
         return CriterionResult(
             "C11", "Caccioppoli quotients stable over radius sweep", passed,
@@ -427,7 +373,7 @@ class AcceptanceSuite:
     def c13_exterior_density(self):
         """Box-face density within 10% of the half-ball value; the L-shape
         density is positive."""
-        dom = self.domain(self.n)
+        dom = self.pipeline(self.n).domain
         theta_box = exterior_density(dom, 0.5, samples=40, seed=self.seed + 3)
         half_ball = 2 * np.pi / 3
         lsh = build_l_shape((1.0, 1.0, 1.0), ((0.5, 0.5, 0.5), (1.0, 1.0, 1.0)),
@@ -442,8 +388,8 @@ class AcceptanceSuite:
     def c14_negative_controls(self):
         """A non-elliptic field is rejected; doubling a stored G breaks the
         divergence check and the representation identity."""
-        n = min(self.n, 16)
-        dom = self.domain(n)
+        pipe = self.pipeline(min(self.n, 16))
+        dom = pipe.domain
         bad = CoefficientField(
             dom.shape, dom.h, -identity_tensor(1.0)[None],
             np.zeros(int(np.prod(dom.shape)), dtype=np.int32), lam=0.5,
@@ -451,9 +397,7 @@ class AcceptanceSuite:
         rejected, worst = validate_ellipticity(bad, trials=32, seed=self.seed)
         rejected = not rejected
 
-        op = self.operator(n)
-        h = dom.h
-        green = self.green(n, np.array([0.3125, 0.5625, 0.5625]), 4 * h)
+        green = pipe.green(C09_POLE, 4 * dom.h)
         import copy
 
         tampered = copy.deepcopy(green)
@@ -464,8 +408,8 @@ class AcceptanceSuite:
         f = np.stack([np.sin(2 * np.pi * ctr[:, 0]), np.cos(np.pi * ctr[:, 1]),
                       ctr[:, 0] * ctr[:, 2]])
         f -= f.mean(axis=1, keepdims=True)
-        rc = representation_check(dom, op.coeffs, tampered, f=f, tol=self.tol,
-                                  adjoint_operator=op.adjoint())
+        rc = representation_check(dom, pipe.coeffs, tampered, f=f, tol=self.tol,
+                                  adjoint_operator=pipe.operator.adjoint())
         repr_broken = rc.error_avg > 100 * self.tol
         passed = rejected and div_broken and repr_broken
         return CriterionResult(

@@ -9,11 +9,11 @@ configuration digest.  Subcommands:
           or re-check a stored fixture when ``fixture_dir`` is set
   export  build and export domain/coefficients/Green fields, no estimates
 
-A config that cannot run (an eps_sweep entry outside [2h, 1], a pole in no
-included cell, a coefficient file on another grid) is a config error, found
-by ``Pipeline.build`` before the assembly.  Exit codes, mapped in ``main``
-only: 0 pass, 1 estimate failure or any other library error, 2 config
-error, 3 solver failure.
+A config that cannot run (an eps_sweep entry outside [2h, 1], a pole or a
+point a selected runner places in no included cell, a coefficient file on
+another grid) is a config error, found by ``Pipeline.build`` before the
+assembly.  Exit codes, mapped in ``main`` only: 0 pass, 1 estimate failure
+or any other library error, 2 config error, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import argparse
 import hashlib
 import json
 import math
+import resource
 import sys
 import time
 from dataclasses import dataclass, field as dc_field, fields
@@ -31,7 +32,6 @@ import numpy as np
 
 from . import __version__
 from . import estimates as est
-from .acceptance import MEMORY_REQUIREMENT_MB, AcceptanceSuite, PRESET_SIZES, peak_rss_mb
 from .coefficients import (
     Frame,
     adjoint_field,
@@ -59,9 +59,21 @@ from .system import (
     solve_divergence,
 )
 
+PRESET_SIZES = {"smoke": 16, "standard": 24, "deep": 32}
+
+
+def peak_rss_mb():
+    """Peak resident set of this process so far, in MB (getrusage's
+    ru_maxrss, which Linux reports in kB)."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
 # -- estimate runners ---------------------------------------------------------
 #
-# Each runner maps (pipeline, estimate id) to a list of reports.  Library
+# Each entry of ESTIMATES maps (pipeline, estimate id) to a list of reports.
+# The paper items that `verify` also measures have one runner each,
+# measure_*, whose points, eps and data are parameters: the entry passes the
+# CLI's values and the acceptance criterion its pinned ones.  Library
 # functions are looked up by module-global name at call time, so a caller
 # that replaces them (for tracing or timing) sees every call.
 
@@ -122,16 +134,24 @@ def _decay(pipe, eid):
     return out
 
 
-def _symmetry(pipe, eid):
-    # opposite near-boundary poles keep the mollifier balls separated even
-    # on coarse grids
+def _runner_points(domain):
+    """The points the symmetry and caccioppoli runners measure at, by id:
+    boundary_pole and its mirror across x = extent/2 (opposite
+    near-boundary poles keep the mollifier balls apart even on coarse
+    grids), and the interior Caccioppoli centre 0.7 extent.  The boundary
+    Caccioppoli centre is a face centroid of the domain, so needs no
+    check."""
+    y = boundary_pole(domain)
+    return {"symmetry": (y, np.array([domain.extent[0] - y[0], y[1], y[2]])),
+            "caccioppoli": (np.full(3, 0.7 * min(domain.extent)),)}
+
+
+def measure_symmetry(pipe, y, x, eps):
+    """Symmetry and averaging discrepancies of the direct pair at y and the
+    adjoint pair at x, both mollified at eps, each held to 0.15."""
     dom = pipe.domain
-    h = dom.h
-    y = boundary_pole(dom)
-    x = np.array([dom.extent[0] - y[0], y[1], y[2]])
-    eps = sigma = 2 * h
     gd = pipe.green(y, eps)
-    ga = compute_adjoint_green(dom, pipe.coeffs, x, sigma, tol=pipe.tol,
+    ga = compute_adjoint_green(dom, pipe.coeffs, x, eps, tol=pipe.tol,
                                operator=pipe.operator.adjoint())
     context = {"x": x.tolist(), "y": y.tolist(), "eps": eps}
     return [est.bound_report(name, check(dom, gd, ga).discrepancy, 0.15, context=context)
@@ -139,38 +159,58 @@ def _symmetry(pipe, eid):
                                 ("averaging", averaging_identity_check))]
 
 
+def _symmetry(pipe, eid):
+    y, x = pipe.points["symmetry"]
+    return measure_symmetry(pipe, y, x, 2 * pipe.domain.h)
+
+
+def measure_representation(pipe, pole, eps, f, g):
+    """The RepresentationCheck of data (f, g) against the pair at (pole, eps)."""
+    return representation_check(pipe.domain, pipe.coeffs, pipe.green(pole, eps), f=f, g=g,
+                                tol=pipe.tol, adjoint_operator=pipe.operator.adjoint())
+
+
 def _representation(pipe, eid):
     dom = pipe.domain
-    g = pipe.green(pipe.poles["interior"], 4 * dom.h)
+    pole, eps = pipe.poles["interior"], 4 * dom.h
     ctr = dom.cell_centers
     rng = np.random.default_rng(pipe.config.seed + 11)
     f = rng.standard_normal((3, dom.ncells))
     f -= f.mean(axis=1, keepdims=True)
     gd = np.sin(np.pi * ctr[:, 0]) * np.cos(np.pi * ctr[:, 1])
-    rc = representation_check(dom, pipe.coeffs, g, f=f, g=gd, tol=pipe.tol,
-                              adjoint_operator=pipe.operator.adjoint())
+    rc = measure_representation(pipe, pole, eps, f, gd)
+    g = pipe.green(pole, eps)
     return [est.bound_report("representation", rc.error_avg, 1e-6,
                              samples={"point_error": rc.error_point},
                              context={"pole": g.y.tolist(), "eps": g.eps})]
 
 
-def _caccioppoli(pipe, eid):
-    dom, R0 = pipe.domain, pipe.config.R0
-    g = pipe.green(pipe.poles["interior"], 4 * dom.h)
+def measure_caccioppoli(pipe, pole, eps, xi, R, xb, Rb):
+    """Caccioppoli sweeps of the first column of the pair at (pole, eps):
+    interior at xi over radii R, R/sqrt(2), R/2, and boundary at xb over Rb,
+    Rb/sqrt(2), Rb/2."""
+    dom = pipe.domain
+    g = pipe.green(pole, eps)
     u, p = g.G[:, 0, :], g.Pi[0]
     f_inf = 1.0 / dom.volume
-    ext = min(dom.extent)
-    xi = dom.cell_centers[dom.nearest_cell(np.full(3, 0.7 * ext))]
-    R = min(0.28 * ext, dist_to_boundary(dom, xi) * 0.95)
-    xb = dom.boundary_face_centroids[-1]
-    Rb = min(0.4 * ext, R0 * 0.9)
     return [
         est.caccioppoli_sweep(dom, u, p, f_inf, xi, [R, R / np.sqrt(2), R / 2],
                               variant="interior", estimate_id="caccioppoli-interior"),
         est.caccioppoli_sweep(dom, u, p, f_inf, xb, [Rb, Rb / np.sqrt(2), Rb / 2],
-                              variant="boundary", theta=2.0, R0=R0,
+                              variant="boundary", theta=2.0, R0=pipe.config.R0,
                               estimate_id="caccioppoli-boundary"),
     ]
+
+
+def _caccioppoli(pipe, eid):
+    dom = pipe.domain
+    ext = min(dom.extent)
+    (centre,) = pipe.points["caccioppoli"]
+    xi = dom.cell_centers[dom.nearest_cell(centre)]
+    R = min(0.28 * ext, dist_to_boundary(dom, xi) * 0.95)
+    Rb = min(0.4 * ext, pipe.config.R0 * 0.9)
+    return measure_caccioppoli(pipe, pipe.poles["interior"], 4 * dom.h, xi, R,
+                               dom.boundary_face_centroids[-1], Rb)
 
 
 def _oscillation(pipe, eid):
@@ -182,7 +222,9 @@ def _oscillation(pipe, eid):
                              context={"frame": "identity", "R": ball.radius})]
 
 
-def _bogovskii(pipe, eid):
+def measure_bogovskii(pipe):
+    """The divergence-solve quotient for the mean-free +-1 data split at
+    x = extent/2, with its sweeps and residual."""
     dom = pipe.domain
     gpat = np.where(dom.cell_centers[:, 0] < dom.extent[0] / 2, 1.0, -1.0)
     gpat -= gpat.mean()
@@ -193,7 +235,7 @@ def _bogovskii(pipe, eid):
     if not sol.converged:
         report.flags.append(f"divergence residual {sol.div_residual:.3e} above its "
                             f"target {sol.div_target:.3e} (div_tol ||g||)")
-    return [report]
+    return report
 
 
 def _poincare(pipe, eid):
@@ -213,27 +255,26 @@ ESTIMATES = {
     "representation": _representation,
     "caccioppoli": _caccioppoli,
     "oscillation": _oscillation,
-    "bogovskii": _bogovskii,
+    "bogovskii": lambda pipe, eid: [measure_bogovskii(pipe)],
     "poincare": _poincare,
 }
 VALID_ESTIMATES = list(ESTIMATES)
 
 
-def _preset_config(preset, poles, estimates):
-    return {
-        "domain": {"kind": "box", "extent": [1.0, 1.0, 1.0], "h": 1.0 / PRESET_SIZES[preset]},
-        "coefficients": {"kind": "identity"},
-        "poles": poles,
-        "eps_sweep": "auto",
-        "estimates": estimates,
-    }
+def identity_box(n, **fields):
+    """Raw config of the identity-coefficient unit box at h = 1/n."""
+    return {"domain": {"kind": "box", "extent": [1.0, 1.0, 1.0], "h": 1.0 / n},
+            "coefficients": {"kind": "identity"}, **fields}
 
 
 PRESET_CONFIGS = {
-    "smoke": _preset_config("smoke", "auto-boundary", ["decay"]),
-    "standard": _preset_config("standard", "auto",
-                               ["decay", "T1-i", "T1-ii", "bogovskii", "poincare"]),
-    "deep": _preset_config("deep", "auto", list(VALID_ESTIMATES)),
+    preset: identity_box(PRESET_SIZES[preset], poles=poles, eps_sweep="auto",
+                         estimates=estimates)
+    for preset, poles, estimates in (
+        ("smoke", "auto-boundary", ["decay"]),
+        ("standard", "auto", ["decay", "T1-i", "T1-ii", "bogovskii", "poincare"]),
+        ("deep", "auto", list(VALID_ESTIMATES)),
+    )
 }
 
 
@@ -385,11 +426,18 @@ class Pipeline:
             one = (boundary_pole(self.domain) if cfg.poles == "auto-boundary"
                    else np.asarray(cfg.poles[0], dtype=float))
             self.poles = {"interior": one, "boundary": one}
-        for pole in self.poles.values():
-            if not self.domain.contains(pole):
-                hint = (f" (placed by poles {cfg.poles!r}); give an explicit pole"
-                        if isinstance(cfg.poles, str) else "")
-                raise ConfigError(f"pole {pole.tolist()} lies in no included cell{hint}")
+        # every point a selected estimate measures at must lie in an included
+        # cell: the poles, and the points the symmetry and caccioppoli
+        # runners place themselves
+        self.points = _runner_points(self.domain)
+        placed = (f" (placed by poles {cfg.poles!r}); give an explicit pole"
+                  if isinstance(cfg.poles, str) else "")
+        checked = [("pole", pole, placed) for pole in self.poles.values()]
+        checked += [(f"{eid} point", point, f" (placed by the {eid} runner)")
+                    for eid in cfg.estimates for point in self.points.get(eid, ())]
+        for what, point, hint in checked:
+            if not self.domain.contains(point):
+                raise ConfigError(f"{what} {point.tolist()} lies in no included cell{hint}")
         h = self.domain.h
         if cfg.eps_sweep == "auto":
             self.eps_sweep = [8 * h, 6 * h, 4 * h, 2 * h]
@@ -508,6 +556,8 @@ def verify(config):
     """Run the acceptance suite for the configured preset."""
     if config.fixture_dir:
         return verify_fixture(config)
+    from .acceptance import MEMORY_REQUIREMENT_MB, AcceptanceSuite
+
     preset = config.preset or "smoke"
     need = MEMORY_REQUIREMENT_MB[preset]
     if config.memory_budget_mb is not None and config.memory_budget_mb < need:

@@ -13,7 +13,7 @@ import pytest
 
 from stokesgreen.acceptance import AcceptanceSuite
 from stokesgreen.coefficients import constant_identity
-from stokesgreen.domain import build_box, center_pole
+from stokesgreen.domain import build_box
 from stokesgreen.system import ConormalOperator
 
 
@@ -33,14 +33,15 @@ def box16():
 
 @pytest.fixture(scope="session")
 def suite():
-    """Shared deep-preset acceptance context (32^3 operators and sweeps)."""
+    """Shared deep-preset acceptance context (one built pipeline per grid)."""
     return AcceptanceSuite(preset="deep", seed=0, tol=1e-9)
 
 
 @pytest.fixture(scope="session")
 def green32(suite):
     """The sharpest-mollifier Green function at the 32^3 center pole."""
-    return suite.green(32, center_pole(suite.domain(32)), 2.0 / 32)
+    pipe = suite.pipeline(32)
+    return pipe.green(pipe.poles["interior"], 2.0 / 32)
 
 
 def direct_velocity(op, rhs):

@@ -12,9 +12,9 @@ import time
 
 import numpy as np
 
-from stokesgreen import estimates as est
+from stokesgreen import cli, estimates as est
 from stokesgreen.acceptance import CRITERIA_BY_PRESET, AcceptanceSuite, CriterionResult
-from stokesgreen.domain import center_pole
+from stokesgreen.domain import build_box
 
 
 def report(result):
@@ -79,12 +79,13 @@ def test_c07_local_lq(suite):
 def test_annulus_criteria_fail_on_unresolved_pole(suite):
     # eps = 8h puts the mollifier core across every annulus of the pinned
     # grids; the profile is flat or rising there, never r^(2-d)
-    n = 32
-    h = 1.0 / n
-    dom = suite.domain(n)
-    pole = center_pole(dom)
-    (g8,) = [g for g in suite.sweep(n) if g.eps == 8 * h]
-    grid = est.profile_grid(dom, suite.green(n, pole, 2 * h))
+    pipe = suite.pipeline(32)
+    dom = pipe.domain
+    h = dom.h
+    pole = pipe.poles["interior"]
+    assert pipe.eps_sweep.count(8 * h) == 1
+    g8 = pipe.green(pole, 8 * h)
+    grid = est.profile_grid(dom, pipe.green(pole, 2 * h))
     decay = est.annulus_decay_profile(dom, g8, [m * h for m in (4, 5, 6, 7, 8)])
     norms = est.annulus_oscillation_norms(dom, g8, grid)
     local = est.annulus_local_l1(dom, g8, grid)
@@ -105,19 +106,18 @@ def test_c08_symmetry_and_averaging(suite):
 
 
 def test_c08_grids_resolve_its_mollifier_in_every_preset():
-    # C08 needs 2h <= eps = 0.125 on both of its grids, whatever the preset
-    from stokesgreen.acceptance import (C08_EPS, C08_GRIDS, C08_POLES,
-                                        CRITERIA_BY_PRESET, AcceptanceSuite)
+    # C08 needs 2h <= eps = 0.125 on both of its grids, which are the unit
+    # boxes at h = 1/16 and 1/32 whatever the preset; only the domains are
+    # built, no operator
+    from stokesgreen.acceptance import C08_EPS, C08_GRIDS, C08_POLES
     from stokesgreen.green import mollified_rhs
 
     assert C08_GRIDS == (16, 32) and C08_EPS == 0.125
-    for preset in CRITERIA_BY_PRESET:
-        suite = AcceptanceSuite(preset=preset)
-        for n in C08_GRIDS:
-            domain = suite.domain(n)
-            assert 2 * domain.h <= C08_EPS
-            for pole in C08_POLES:
-                assert mollified_rhs(domain, pole, C08_EPS).phi.any()
+    for n in C08_GRIDS:
+        domain = build_box((1.0, 1.0, 1.0), 1.0 / n)
+        assert 2 * domain.h <= C08_EPS
+        for pole in C08_POLES:
+            assert mollified_rhs(domain, pole, C08_EPS).phi.any()
 
 
 def test_c09_representation(suite):
@@ -126,6 +126,22 @@ def test_c09_representation(suite):
     pe = r.details["point_errors"]
     assert pe[16] < pe[8] and pe[32] < pe[16]
     assert r.passed
+
+
+def test_criteria_on_one_grid_share_its_green_function(suite, monkeypatch):
+    # C09 solves the (0.3125, 0.5625, 0.5625), eps = 4h pair on the 16^3
+    # pipeline; C14 tampers with that same pair and solves none of its own
+    suite.c09_representation()
+    solved = []
+    compute_green = cli.compute_green
+
+    def counted(domain, coeffs, y, eps, **kwargs):
+        solved.append((domain.h, tuple(y), eps))
+        return compute_green(domain, coeffs, y, eps, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_green", counted)
+    assert suite.c14_negative_controls().passed
+    assert solved == []
 
 
 def test_c10_bogovskii(suite):

@@ -173,11 +173,16 @@ def test_malformed_descriptors_exit_2(tmp_path):
 LSHAPE = {"kind": "lshape", "extent": [1, 1, 1], "notch": [[0.5, 0.5, 0.5], [1, 1, 1]],
           "h": 0.125}
 # configs that validate field by field but cannot run; "auto" puts both
-# poles at (0.5625, 0.5625, 0.5625), in the notch; the coefficient file
-# holds a 16^3 grid
+# poles at (0.5625, 0.5625, 0.5625), in the notch, and so does the symmetry
+# runner its boundary pole, while the caccioppoli runner's interior centre
+# is (0.7, 0.7, 0.7); the coefficient file holds a 16^3 grid
 UNRUNNABLE = {
     "pole-outside-lshape": {"domain": LSHAPE, "poles": [[0.8, 0.8, 0.8]]},
     "auto-poles-on-lshape": {"domain": LSHAPE, "poles": "auto"},
+    "symmetry-pole-on-lshape": {"domain": LSHAPE, "poles": [[0.3, 0.3, 0.3]],
+                                "estimates": ["symmetry"]},
+    "caccioppoli-centre-on-lshape": {"domain": LSHAPE, "poles": [[0.3, 0.3, 0.3]],
+                                     "estimates": ["caccioppoli"]},
     "eps-below-2h": {"eps_sweep": [0.1]},
     "eps-above-1": {"eps_sweep": [1, 2]},
     "coefficient-grid": {"coefficients": {"kind": "file", "path": "coeffs16.bin"}},
@@ -188,7 +193,7 @@ UNRUNNABLE = {
 def test_config_that_cannot_run_exits_2_from_every_command(case, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     constant_identity(build_domain(dict(BASE["domain"], h=0.0625))).export("coeffs16.bin")
-    raw = dict(BASE, estimates=["representation"], out="out", **UNRUNNABLE[case])
+    raw = {**BASE, "estimates": ["representation"], "out": "out", **UNRUNNABLE[case]}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     for command in ("run", "export"):
@@ -513,7 +518,7 @@ def test_run_and_verify_weak_type_agree(tmp_path):
                                         "h": 1.0 / 16})
     pipe = Pipeline(cfg)
     pipe.build()
-    assert np.array_equal(pipe.poles["interior"], center_pole(suite.domain(16)))
+    assert np.array_equal(pipe.poles["interior"], center_pole(suite.pipeline(16).domain))
     for eid, accepted in zip(("T1-iii", "T1-iv", "T1-v"), c06.reports):
         (run,) = pipe.run_estimate(eid)
         assert run.samples.keys() == accepted.samples.keys()
@@ -522,6 +527,16 @@ def test_run_and_verify_weak_type_agree(tmp_path):
         assert run.envelope_ratio == accepted.envelope_ratio
         assert run.flags == accepted.flags
         assert run.passed == accepted.passed
+
+
+def test_run_and_verify_bogovskii_agree(suite):
+    # C10 and the CLI row share measure_bogovskii; on the even grids the
+    # mean-subtracted +-1 data is C10's own, so the 16^3 quotient is the
+    # golden bogovskii row
+    c10 = suite.c10_bogovskii()
+    golden = {line.split(",")[0]: line.split(",")[2]
+              for line in (DATA / "reports16.csv").read_text().splitlines()}
+    assert f"{c10.details['quotients'][16]:.8g}" == golden["bogovskii"] == "0.85555128"
 
 
 def test_every_estimate_runner_end_to_end(tmp_path):

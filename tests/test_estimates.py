@@ -166,7 +166,7 @@ def test_weak_type_theorem_floor_starves_g_at_desk_scale(stokeslet_field):
 
 
 def test_local_lq_rejects_out_of_range_q(suite, green32):
-    domain = suite.domain(32)
+    domain = suite.pipeline(32).domain
     with pytest.raises(ParameterError):
         est.local_lq_norms(domain, green32, [0.2, 0.3], [3.0], fields=("G",))
     with pytest.raises(ParameterError):
@@ -174,7 +174,7 @@ def test_local_lq_rejects_out_of_range_q(suite, green32):
 
 
 def test_local_lq_q2_admissible_for_g(suite, green32):
-    domain = suite.domain(32)
+    domain = suite.pipeline(32).domain
     reps = est.local_lq_norms(domain, green32, [0.15, 0.2, 0.25], [2.0],
                               fields=("G",), R0=0.5)
     assert "G" in reps and reps["G"].fitted is not None
@@ -182,7 +182,7 @@ def test_local_lq_q2_admissible_for_g(suite, green32):
 
 def test_l2_annulus_local_consistency(suite, green32):
     # ||.||^2 over domain splits exactly across the B_R / annulus partition
-    domain = suite.domain(32)
+    domain = suite.pipeline(32).domain
     mag = green32.magnitude()
     dist = np.linalg.norm(domain.cell_centers - green32.y, axis=1)
     R = 0.22
@@ -197,7 +197,7 @@ def test_l2_annulus_local_consistency(suite, green32):
 
 
 def test_annulus_beyond_domain_is_empty(suite, green32):
-    domain = suite.domain(32)
+    domain = suite.pipeline(32).domain
     rep = est.annulus_norms(domain, green32, [0.2, 0.3, 0.4, 2.0], R0=1.0,
                             variant="global")
     radii = rep.samples["radii"]
@@ -346,7 +346,7 @@ def test_caccioppoli_boundary_requires_boundary_point(box16):
 
 
 def test_reports_recompute_pass_is_pure(suite, green32):
-    domain = suite.domain(32)
+    domain = suite.pipeline(32).domain
     reports = [
         est.decay_profile(domain, green32, [0.125, 0.15625, 0.1875, 0.25]),
         est.annulus_norms(domain, green32, [0.15, 0.18, 0.21, 0.24], R0=0.5),
@@ -359,7 +359,7 @@ def test_reports_recompute_pass_is_pure(suite, green32):
 
 
 def test_report_serialization(tmp_path, suite, green32):
-    domain = suite.domain(32)
+    domain = suite.pipeline(32).domain
     rep = est.decay_profile(domain, green32, [0.125, 0.15625, 0.1875, 0.25])
     csv_path = tmp_path / "reports.csv"
     txt_path = tmp_path / "reports.txt"

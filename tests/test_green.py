@@ -99,7 +99,7 @@ def test_green_column_error_keeps_solver_details(box8):
 
 def test_green_near_pole_matches_normalized_stokeslet(suite, green32):
     # oracle: closed-form Stokeslet shifted to the mean-zero normalization
-    domain = suite.domain(32)
+    domain = suite.pipeline(32).domain
     h = domain.h
     ref = normalized_stokeslet(domain, green32.y)
     dist = np.linalg.norm(domain.cell_centers - green32.y, axis=1)
@@ -113,7 +113,7 @@ def test_green_near_pole_matches_normalized_stokeslet(suite, green32):
 
 def test_raw_stokeslet_misses_normalization(suite, green32):
     # without the mean shift the raw kernel overestimates the field
-    domain = suite.domain(32)
+    domain = suite.pipeline(32).domain
     h = domain.h
     rel = domain.cell_centers - green32.y
     dist = np.linalg.norm(rel, axis=1)
@@ -221,15 +221,15 @@ def test_symmetry_discrepancy_symmetric_under_swap(box16):
 
 
 def test_averaging_trend_over_eps(suite):
-    domain = suite.domain(32)
-    op = suite.operator(32)
+    pipe = suite.pipeline(32)
+    domain, op = pipe.domain, pipe.operator
     h = domain.h
     y, x = (0.21875, 0.46875, 0.46875), (0.71875, 0.46875, 0.46875)
     adj = compute_adjoint_green(domain, op.coeffs, x, 2 * h,
                                 operator=op.adjoint())
     discs = []
     for eps in (8 * h, 6 * h, 4 * h):
-        gd = suite.green(32, y, eps)
+        gd = pipe.green(y, eps)
         discs.append(averaging_identity_check(domain, gd, adj).discrepancy)
     # decreasing with 20% non-monotonicity slack
     assert all(b <= a * 1.2 for a, b in zip(discs, discs[1:]))
@@ -304,8 +304,8 @@ def test_epsilon_convergence_preconditions(box16):
 
 def test_epsilon_convergence_trend(suite):
     # at 32^3 the successive annulus differences decrease over the sweep
-    domain = suite.domain(32)
-    op = suite.operator(32)
+    pipe = suite.pipeline(32)
+    domain, op = pipe.domain, pipe.operator
     h = domain.h
     table = epsilon_convergence(domain, op.coeffs, center_pole(domain),
                                 [8 * h, 4 * h, 2 * h], R=0.52, operator=op)
