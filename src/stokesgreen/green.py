@@ -70,8 +70,9 @@ def mollified_rhs(domain, y, eps):
         raise ResolutionError(f"eps = {eps} is below the resolvable 2h = {2 * domain.h}")
     if not domain.contains(y_req):
         raise DomainError(f"pole {y_req.tolist()} is outside the domain")
-    cid = domain.nearest_cell(y_req)
-    y_snap = domain.cell_centers[cid]
+    # the one center, not a row of ``cell_centers``: a view of that row
+    # would keep the whole (ncells, 3) array alive with the Green pair
+    y_snap = (domain.cell_ijk[domain.nearest_cell(y_req)] + 0.5) * domain.h
     ball = domain.cells_in_ball(y_snap, eps)
     omega_eps = len(ball) * domain.h**3
     phi = np.full(domain.ncells, 1.0 / domain.volume)

@@ -48,11 +48,12 @@ COMPAT_REL = 1e-10
 INNER_M = 40
 OUTER_K = 3
 EPS = np.finfo(float).eps
-# K products with at least this many stored entries run as two row blocks
-# on two threads; shorter ones stay serial (notes/decisions.md, "Long K
-# products run as two row blocks").  The same helper thread also forms
-# and places viscous blocks during assembly ("K placed block by block")
-SPLIT_NNZ = 3_000_000
+# with at least this many stored entries in K and a second CPU, each Krylov
+# step applies M (K v) on two threads and each cycle-start K x runs as two
+# row blocks; below it both stay serial (notes/decisions.md, "M (K v) as
+# one two-thread step").  The same helper thread also forms and places
+# viscous blocks during assembly ("K placed block by block")
+SPLIT_NNZ = 900_000
 _axpy, _dot, _nrm2 = get_blas_funcs(("axpy", "dot", "nrm2"), dtype=np.float64)
 
 
@@ -460,7 +461,18 @@ class ConormalOperator:
         orthonormal DCT-II matrices of the three axes (fast
         diagonalization, Lynch, Rice & Thomas 1964).  Masked domains
         zero-extend to the box, invert there and restrict (a
-        fictitious-domain preconditioner).
+        fictitious-domain preconditioner); the operator's one box holds a
+        slice per component, and the pressure block uses the first.
+
+        Returns ``(prec, after_product)``: ``prec(x)`` is the application,
+        and ``after_product(K, row, v)`` is ``prec(K @ v)`` bit for bit as
+        one step on this thread and the helper (``_both``), returned with
+        the seconds of its two phases and the seconds this thread waited
+        for the helper.  In phase 1 the helper sums K's rows ``[0, row)``
+        (``row <= nu``) while this thread sums the pressure and multiplier
+        rows, applies their blocks and sums rows ``[row, nu)``; in phase 2
+        this thread inverts velocity components 0 and 1 and the helper
+        component 2, each on its own slice of the box.
         """
         dom = self.domain
         h = dom.h
@@ -501,12 +513,14 @@ class ConormalOperator:
         neg_schur_t = -schur_t
         if dom.mask.all():
 
-            def apply_box(rest, out, symbol):
+            def apply_box(rest, out, symbol, first=0):
                 out[:] = box_inverse(rest.reshape((-1,) + shape), symbol).ravel()
 
         else:
-            # one box per operator, so this preconditioner is not reentrant
-            # (nothing applies it concurrently); the zero extension is one
+            # one box per operator: the pressure block and velocity
+            # component a use its slice ``first = a``, so threads inverting
+            # different components share it, and nothing applies one
+            # preconditioner twice at once.  The zero extension is one
             # gather through the box-to-domain index, then the excluded
             # cells are zeroed.  Every index is in range, and mode="clip"
             # skips the buffered copy that np.take makes under "raise"
@@ -516,32 +530,60 @@ class ConormalOperator:
             outside = np.flatnonzero(~dom.mask)
             source = np.maximum(dom.cell_id, 0).ravel()
 
-            def apply_box(rest, out, symbol):
+            def apply_box(rest, out, symbol, first=0):
                 m = rest.size // nc
-                np.take(rest.reshape(m, nc), source, axis=1, out=flat_box[:m], mode="clip")
-                flat_box[:m, outside] = 0.0
-                res = box_inverse(box[:m], symbol).reshape(m, -1)
+                part = flat_box[first : first + m]
+                np.take(rest.reshape(m, nc), source, axis=1, out=part, mode="clip")
+                part[:, outside] = 0.0
+                res = box_inverse(box[first : first + m], symbol).reshape(m, -1)
                 np.take(res, cells, axis=1, out=out.reshape(m, nc), mode="clip")
+
+        def pressure(x, out):
+            # the pressure and multiplier blocks, out[nu:] from x[nu:]
+            apply_box(x[nu : nu + nc], out[nu : nu + nc], neg_schur_t)
+            out[nu + nc :] = -x[nu + nc :] / mult_scale
+
+        def coupling(x, out):
+            # the velocity right-hand side x_u - B p - h^3 lam, in out[:nu]
+            rest = np.subtract(x[:nu], B @ out[nu : nu + nc], out=out[:nu])
+            rest.reshape(DIM, nc)[:] -= (h3 * out[nu + nc :])[:, None]
+
+        def velocity(out, lo=0, hi=DIM):
+            # velocity components [lo, hi), in place: apply_box reads all
+            # of its input before it writes its output
+            rest = out[lo * nc : hi * nc]
+            apply_box(rest, rest, eigs_t, lo)
 
         def prec(x):
             out = np.empty_like(x)
-            p = out[nu : nu + nc]
-            apply_box(x[nu : nu + nc], p, neg_schur_t)
-            lam = out[nu + nc :] = -x[nu + nc :] / mult_scale
-            # apply_box reads all of its input before it writes its output,
-            # so rest can live in the velocity block it is mapped to
-            rest = np.subtract(x[:nu], B @ p, out=out[:nu])
-            rest.reshape(DIM, nc)[:] -= (h3 * lam)[:, None]
-            apply_box(rest, rest, eigs_t)
+            pressure(x, out)
+            coupling(x, out)
+            velocity(out)
             return out
 
-        return prec
+        def after_product(K, row, v):
+            kv, out = np.zeros(K.shape[0]), np.empty(K.shape[0])
+
+            def mine():
+                _csr_rows(K, nu, K.shape[0], v, kv)
+                pressure(kv, out)
+                _csr_rows(K, row, nu, v, kv)
+
+            t0 = time.perf_counter()
+            waited = _both(mine, lambda: _csr_rows(K, 0, row, v, kv))
+            t1 = time.perf_counter()
+            coupling(kv, out)
+            del kv
+            waited += _both(lambda: velocity(out, 0, DIM - 1), lambda: velocity(out, DIM - 1))
+            return out, t1 - t0, time.perf_counter() - t1, waited
+
+        return prec, after_product
 
     def preconditioner(self):
         if self._prec is None:
             self._prec = self._build_prec()
         return spla.LinearOperator(
-            (self.ntot, self.ntot), matvec=self._prec, dtype=float
+            (self.ntot, self.ntot), matvec=self._prec[0], dtype=float
         )
 
     # -- solves -----------------------------------------------------------
@@ -555,22 +597,26 @@ class ConormalOperator:
         true residual is checked at each outer-cycle start; the outer
         budget is ``max_iter // (inner_m + 1)`` cycles.  K and the
         preconditioner are applied only through ``self.K`` and
-        ``self.preconditioner()``.  A CSR K of at least ``SPLIT_NNZ``
-        stored entries is applied as two row blocks on two threads when
-        the process may run on more than one CPU, with the same result
-        bit for bit.  Iterations are preconditioner applications.
-        Returns ``(x, info)``; ``info`` holds ``iterations``, ``residual``
-        (the last cycle-start residual, so no matvec recomputes it),
-        ``history`` (the true relative residual at each cycle start),
-        ``cycles``, the matvec and preconditioner counts and seconds, and
-        ``krylov_s``, the seconds of the solve spent outside both;
-        ``matvec_s`` (``SolveReport.matvec_s``) is the wall time of each
-        whole product, both blocks included.  Raises SolverError on
-        non-convergence, carrying the residual reached.
+        ``self.preconditioner()``, unless ``_split_at(self.K)`` gives a
+        row: then each Krylov step applies ``M (K v)`` as the one
+        two-thread step of this operator's preconditioner
+        (``_build_prec``), and each cycle-start ``K x`` as two row blocks
+        (``_split_matvec``), with the same results bit for bit.
+        Iterations are preconditioner applications.  Returns ``(x,
+        info)``; ``info`` holds ``iterations``, ``residual`` (the last
+        cycle-start residual, so no matvec recomputes it), ``history``
+        (the true relative residual at each cycle start), ``cycles``, the
+        matvec and preconditioner counts and seconds, ``krylov_s``, the
+        seconds of the solve spent outside both, and ``wait_s``, the
+        seconds this thread waited for the helper within two-thread
+        steps.  ``matvec_s`` (``SolveReport.matvec_s``) is the wall time
+        of each whole product, and of phase 1 of a two-thread step;
+        ``prec_s`` holds phase 2.  Raises SolverError on non-convergence,
+        carrying the residual reached.
         """
         t_solve = time.perf_counter()
         info = {"iterations": 0, "prec_s": 0.0, "matvecs": 0, "matvec_s": 0.0,
-                "krylov_s": 0.0, "cycles": 0, "history": []}
+                "krylov_s": 0.0, "wait_s": 0.0, "cycles": 0, "history": []}
         bnorm = np.linalg.norm(rhs)
         if bnorm == 0:
             info.update(residual=0.0, history=[0.0])
@@ -581,11 +627,11 @@ class ConormalOperator:
         inner_m = min(INNER_M, max(max_iter - 1, 1))
         max_cycles = max(max_iter // (inner_m + 1), 1)
         K, M = self.K, self.preconditioner()
-        product = _product(K)
+        row = _split_at(K)
 
         def matvec(v):
             t0 = time.perf_counter()
-            out = product(v)
+            out = K @ v if row is None else _split_matvec(K, row, v)
             info["matvec_s"] += time.perf_counter() - t0
             info["matvecs"] += 1
             return out
@@ -596,6 +642,23 @@ class ConormalOperator:
             info["prec_s"] += time.perf_counter() - t0
             info["iterations"] += 1
             return out
+
+        if row is None:
+
+            def step(v):
+                return psolve(matvec(v))
+
+        else:
+            after_product, fused_row = self._prec[1], min(self.nu, row)
+
+            def step(v):
+                out, matvec_s, prec_s, wait_s = after_product(K, fused_row, v)
+                info["matvec_s"] += matvec_s
+                info["prec_s"] += prec_s
+                info["wait_s"] += wait_s
+                info["matvecs"] += 1
+                info["iterations"] += 1
+                return out
 
         workspace = self.ops.krylov_workspace()
         x = np.zeros(self.ntot) if x0 is None else np.array(x0, dtype=float)
@@ -622,7 +685,7 @@ class ConormalOperator:
             np.multiply(w, -1.0 / beta, out=workspace[0][0])
             del w  # only x and the workspace stay alive through the cycle
             ptol = min(ptol_max, tol * bnorm / rnorm)
-            res = _lgmres_cycle(x, beta, ptol, workspace, kept, inner_m, matvec, psolve)
+            res = _lgmres_cycle(x, beta, ptol, workspace, kept, inner_m, step)
             if res is None:  # overflow or NaN: x keeps its checked residual
                 break
             # the adaptive inner tolerance of SciPy's lgmres
@@ -712,16 +775,19 @@ if hasattr(os, "register_at_fork"):
 
 def _both(mine, theirs):
     """Run ``mine`` here and ``theirs`` on the helper, or here too if the
-    helper has not started it; an error of either is raised here.
+    helper has not started it; an error of either is raised here.  Returns
+    the seconds this thread waited for the helper after ``mine``.
 
-    The helper computes the second block of each split product, and forms
-    and places viscous blocks beside the caller while an operator is
-    assembled.  The blocks it forms are freed into its own malloc arena,
-    whose free pages the assembly returns to the system.  A helper that is
-    late never holds the caller up, and jobs posted by several threads at
-    once each run whole; one that loses its CPU mid-job holds the caller up
-    by what it has started: one row block of a product, or one viscous
-    block or piece of K.
+    The helper computes the second block of each split product, K's first
+    velocity rows and then velocity component 2 of each two-thread Krylov
+    step (``_build_prec``), and forms and places viscous blocks beside the
+    caller while an operator is assembled.  The blocks it forms are freed
+    into its own malloc arena, whose free pages the assembly returns to
+    the system.  A helper that is late never holds the caller up, and jobs
+    posted by several threads at once each run whole; one that loses its
+    CPU mid-job holds the caller up by what it has started: one row block
+    of a product, one phase of a step, or one viscous block or piece of K.
+    That wait is what the return value measures.
     """
     pool = _POOL.get("helper")
     if pool is None:
@@ -733,8 +799,10 @@ def _both(mine, theirs):
     try:
         mine()
     finally:
+        t0 = time.perf_counter()
         taken_back = job.cancel()  # the helper has not started it
         error = None if taken_back else job.exception()  # waits for the helper
+        waited = time.perf_counter() - t0
         job = None  # it holds the error, whose traceback will hold this frame
     if taken_back:
         theirs()
@@ -743,6 +811,7 @@ def _both(mine, theirs):
             raise error
         finally:
             error = None  # so no cycle runs through this frame
+    return waited
 
 
 def _split_row(K):
@@ -750,37 +819,37 @@ def _split_row(K):
     return int(np.searchsorted(K.indptr, K.nnz // 2))
 
 
+def _split_at(K):
+    """The row at which K's products split across two threads, or None:
+    they split when K is a CSR matrix (float64, as assembled) of at least
+    ``SPLIT_NNZ`` stored entries and the process may run on more than one
+    CPU, and stay serial otherwise."""
+    if sp.issparse(K) and K.format == "csr" and K.nnz >= SPLIT_NNZ and len(_cpus()) > 1:
+        return _split_row(K)
+    return None
+
+
+def _csr_rows(K, a, b, v, out):
+    """Rows ``[a, b)`` of ``K @ v`` for a CSR ``K``, added into ``out[a:b]``
+    (zeros in, the product out).  Each row is summed as SciPy's CSR
+    product sums it."""
+    _csr_matvec(b - a, K.shape[1], K.indptr[a : b + 1], K.indices, K.data, v, out[a:b])
+
+
 def _split_matvec(K, row, v):
     """K @ v for a CSR ``K`` as the row blocks ``[0, row)``, computed
     here, and ``[row, n)``, computed on the helper thread, written into
-    one output.  Each row is summed as SciPy's CSR product sums it, so
-    the result equals ``K @ v`` bit for bit."""
-    n, m = K.shape
-    indptr, indices, data = K.indptr, K.indices, K.data
-    out = np.zeros(n)
-
-    def block(a, b):
-        return lambda: _csr_matvec(b - a, m, indptr[a : b + 1], indices, data, v, out[a:b])
-
-    _both(block(0, row), block(row, n))
+    one output; the result equals ``K @ v`` bit for bit."""
+    out = np.zeros(K.shape[0])
+    _both(lambda: _csr_rows(K, 0, row, v, out), lambda: _csr_rows(K, row, K.shape[0], v, out))
     return out
 
 
-def _product(K):
-    """K·v for the Krylov loop: split in two row blocks when K is a CSR
-    matrix (float64, as assembled) of at least ``SPLIT_NNZ`` stored
-    entries and the process may run on more than one CPU, otherwise
-    ``K @ v``."""
-    if sp.issparse(K) and K.format == "csr" and K.nnz >= SPLIT_NNZ and len(_cpus()) > 1:
-        row = _split_row(K)
-        return lambda v: _split_matvec(K, row, v)
-    return lambda v: K @ v
-
-
-def _lgmres_cycle(x, beta, ptol, workspace, kept, inner_m, matvec, psolve):
+def _lgmres_cycle(x, beta, ptol, workspace, kept, inner_m, step):
     """One inner GMRES cycle of LGMRES from ``V[0]``, the unit preconditioned
-    residual of norm ``beta``.  Adds the correction dx to x and returns the
-    inner residual reached (relative to beta), or None if it is not finite.
+    residual of norm ``beta``, with ``step(v) = M K v``.  Adds the
+    correction dx to x and returns the inner residual reached (relative to
+    beta), or None if it is not finite.
 
     ``workspace`` is ``(V, Z, MKZ)``: the Arnoldi basis, and the
     augmentation pairs (dx, M K dx) / |dx| of the last ``OUTER_K`` cycles in
@@ -797,7 +866,7 @@ def _lgmres_cycle(x, beta, ptol, workspace, kept, inner_m, matvec, psolve):
     rot = []
     for j in range(m):
         if j < inner_m:
-            w = psolve(matvec(V[j]))
+            w = step(V[j])
         else:  # the augmentation vectors follow the Krylov vectors
             w = V[j + 1]
             w[:] = MKZ[kept[j - inner_m]]
@@ -874,13 +943,16 @@ class SolveReport:
     stab_slack: float
     # the Krylov run: true relative residual at each outer-cycle start (the
     # last is ``residual``), outer cycles, K matvecs and the seconds spent
-    # in K, in the preconditioner and in the rest of the solve
+    # in K, in the preconditioner and in the rest of the solve, and the
+    # seconds of the first two spent waiting for the helper thread
+    # (``ConormalOperator.solve``)
     history: list = dc_field(default_factory=list)
     cycles: int = 0
     matvecs: int = 0
     matvec_s: float = 0.0
     prec_s: float = 0.0
     krylov_s: float = 0.0
+    wait_s: float = 0.0
 
 
 @dataclass

@@ -839,10 +839,12 @@ def test_solve_report_records_krylov_history(box16):
     assert again.history == report.history
 
 
-def test_solve_report_times_the_krylov_remainder(box16):
+def test_solve_report_times_the_krylov_remainder(box16, helper, monkeypatch):
     # krylov_s is the solve's wall time outside K and the preconditioner
     # (Gram-Schmidt, rotations and dx), so the three parts fit in the
-    # caller's wall time around the solve
+    # caller's wall time around the solve; with two-thread steps matvec_s
+    # and prec_s are their two phases, and wait_s the part of both spent
+    # waiting for the helper
     domain, coeffs, op = box16
     f = np.zeros((3, domain.ncells))
     f[0] = mollified_rhs(domain, (0.5, 0.5, 0.5), 2.0 / 16).phi
@@ -852,7 +854,17 @@ def test_solve_report_times_the_krylov_remainder(box16):
     wall = time.perf_counter() - t0
     assert report.krylov_s >= 0
     assert report.matvec_s + report.prec_s + report.krylov_s <= wall
+    assert report.wait_s == 0.0  # 16^3 K is below the threshold
     assert op.solve(np.zeros(op.ntot))[1]["krylov_s"] == 0.0
+    monkeypatch.setattr(system, "SPLIT_NNZ", 0)
+    monkeypatch.setattr(system.os, "sched_getaffinity", lambda pid: {0, 1})
+    t0 = time.perf_counter()
+    _, split = solve_conormal(saddle)
+    wall = time.perf_counter() - t0
+    assert helper.thread is not None and split.history == report.history
+    assert split.krylov_s >= 0 and split.matvec_s > 0 and split.prec_s > 0
+    assert split.matvec_s + split.prec_s + split.krylov_s <= wall
+    assert 0 <= split.wait_s <= split.matvec_s + split.prec_s
 
 
 def _lgmres_reference(op, rhs, tol=1e-9):
@@ -921,6 +933,26 @@ def test_preconditioner_apply_allocates_few_temporaries(box16):
     tracemalloc.start()
     try:
         M @ x
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * op.ntot
+
+
+def test_two_thread_step_allocates_few_temporaries(box16, helper):
+    # M (K v) on two threads allocates K v and its output (2 vectors), B p
+    # (3/4) and the DCT intermediates of each thread's components; K v is
+    # dropped once the velocity right-hand side is formed, so the step
+    # peaks below the serial M @ (K @ v) (4.26 vectors) and measured 3.29
+    domain, coeffs, op = box16
+    op.preconditioner()
+    after_product, K = op._prec[1], op.K
+    row = min(op.nu, system._split_row(K))
+    x = np.random.default_rng(0).standard_normal(op.ntot)
+    after_product(K, row, x)
+    tracemalloc.start()
+    try:
+        after_product(K, row, x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1396,6 +1428,115 @@ def test_non_csr_K_runs_as_one_product(box16, helper, monkeypatch):
     op.K = spla.LinearOperator(K.shape, matvec=counted, dtype=float)
     _, info = _green_column_solve(op)
     assert info["matvecs"] == applied[0] > 0 and helper.thread is None
+
+
+def _step_case(kind):
+    if kind == "tensor-box12":
+        domain = build_box((1.0, 1.0, 1.0), 1.0 / 12)
+        return ConormalOperator(domain, _full_tensor_field(domain, 17))
+    domain = _l_shape(16) if kind == "lshape16" else build_box((1.0, 1.0, 1.0), 1.0 / 16)
+    return ConormalOperator(domain, constant_identity(domain))
+
+
+def _column_solve(op):
+    # a pole off the L-shape's notch, at a resolvable eps on every grid
+    domain = op.domain
+    f = np.zeros((3, domain.ncells))
+    f[0] = mollified_rhs(domain, (0.3, 0.3, 0.3), 3 * domain.h).phi
+    f[1] = np.random.default_rng(43).standard_normal(domain.ncells)
+    return op.solve(assemble(op, f=f).rhs)
+
+
+@pytest.mark.parametrize("kind", ["box16", "tensor-box12", "lshape16"])
+def test_two_thread_step_equals_prec_of_product(kind, helper, monkeypatch):
+    # K's rows beside the pressure block, then the velocity block split by
+    # component: each row and each component is summed as in the serial
+    # M @ (K @ v); the masked box is shared by component slices
+    monkeypatch.setattr(system, "SPLIT_NNZ", 0)
+    monkeypatch.setattr(system.os, "sched_getaffinity", lambda pid: {0, 1})
+    op = _step_case(kind)
+    M, K = op.preconditioner(), op.K
+    row = system._split_at(K)
+    assert 0 < row < K.shape[0]
+    rng = np.random.default_rng(13)
+    for fused_row in (min(op.nu, row), op.nu, 0):
+        v = rng.standard_normal(op.ntot)
+        out, phase1, phase2, waited = op._prec[1](K, fused_row, v)
+        assert np.array_equal(out, M @ (K @ v))
+        assert min(phase1, phase2) > 0 and 0 <= waited <= phase1 + phase2
+    assert helper.thread.is_alive()
+
+
+@pytest.mark.parametrize("kind", ["box16", "tensor-box12", "lshape16"])
+def test_solve_on_one_or_two_cpus_gives_the_same_column(kind, helper, monkeypatch):
+    # below the threshold no helper starts, on two CPUs too; above it the
+    # two-thread steps and split products leave every iterate unchanged,
+    # and one CPU starts no helper
+    op = _step_case(kind)
+    system._POOL.pop("helper", None)  # the assembly of a tensor may start one
+    monkeypatch.setattr(system.os, "sched_getaffinity", lambda pid: {0, 1})
+    want, want_info = _column_solve(op)
+    assert helper.thread is None and want_info["wait_s"] == 0.0
+    monkeypatch.setattr(system, "SPLIT_NNZ", 0)
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(system.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        got, info = _column_solve(op)
+        assert (helper.thread is not None) == (len(cpus) > 1)
+        assert np.array_equal(got, want)
+        assert info["history"] == want_info["history"]
+        assert info["iterations"] == want_info["iterations"]
+        assert info["matvecs"] == want_info["matvecs"]
+
+
+@pytest.mark.parametrize("phase, side", [(1, "helper"), (1, "caller"),
+                                         (2, "helper"), (2, "caller")])
+def test_two_thread_step_error_reaches_the_caller(phase, side, helper, monkeypatch):
+    # the failing side waits for the other to start, so the error is
+    # raised on the side named; it reaches the caller, and K v is freed by
+    # reference counts, so no cycle runs through the traceback
+    op = _step_case("lshape16")
+    M, K = op.preconditioner(), op.K
+    row = min(op.nu, system._split_row(K))
+    both, csr_rows, posts, raised_on, products = system._both, system._csr_rows, [], [], []
+
+    def recording(K, a, b, v, out):
+        products.append(weakref.ref(out))
+        csr_rows(K, a, b, v, out)
+
+    def failing(mine, theirs):
+        posts.append(None)
+        if len(posts) != phase:
+            return both(mine, theirs)
+        started = threading.Event()
+
+        def fail():
+            raised_on.append(threading.current_thread())
+            raise ValueError(f"phase {phase} failed")
+
+        def helper_job():
+            started.set()
+            (fail if side == "helper" else theirs)()
+
+        def caller_job():
+            assert started.wait(30)
+            (fail if side == "caller" else mine)()
+
+        return both(caller_job, helper_job)
+
+    monkeypatch.setattr(system, "_csr_rows", recording)
+    monkeypatch.setattr(system, "_both", failing)
+    v = np.random.default_rng(14).standard_normal(op.ntot)
+    gc.disable()
+    try:
+        with pytest.raises(ValueError, match=f"phase {phase} failed"):
+            op._prec[1](K, row, v)
+        assert products and all(ref() is None for ref in products)
+    finally:
+        gc.enable()
+    want = helper.thread if side == "helper" else threading.current_thread()
+    assert raised_on == [want]
+    monkeypatch.setattr(system, "_both", both)
+    assert np.array_equal(op._prec[1](K, row, v)[0], M @ (K @ v))
 
 
 def test_forked_child_starts_its_own_helper(helper):
